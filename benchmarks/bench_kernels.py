@@ -3,9 +3,10 @@
 
 Both paths execute the same source, so outputs are verified bitwise before
 timing.  The numpy path is obtained by calling the undecorated ``*_impl``
-functions directly; the jitted path goes through the module-level names
-(which this script expects to be compiled, i.e., run it WITHOUT
-``ATTRITION_CONFORMAL_NO_NUMBA=1``).
+functions directly; the jitted path goes through the module-level names.
+When the JIT path is off (numba is not installed, or
+``ATTRITION_CONFORMAL_NO_NUMBA=1`` is set) the script says why and times
+only the numpy path.
 
 Usage: python benchmarks/bench_kernels.py [--n 2000] [--trees 100] [--reps 5]
 """
@@ -53,16 +54,15 @@ def bench_grow(n, k, reps):
                   buf["feature"], buf["threshold"], buf["left"], buf["right"],
                   buf["value"], buf["leaf_id"])
 
-    buf_a = {k_: v.copy() for k_, v in out.items()}
-    buf_b = {k_: v.copy() for k_, v in out.items()}
-    run(kernels.grow_tree, buf_a)  # warm the JIT
-    run(kernels._grow_tree_impl, buf_b)
+    buf_np = {k_: v.copy() for k_, v in out.items()}
+    t_np = _time(lambda: run(kernels._grow_tree_impl, buf_np), reps)
+    if not kernels.USE_NUMBA:
+        return None, t_np
+    buf_jit = {k_: v.copy() for k_, v in out.items()}
+    run(kernels.grow_tree, buf_jit)  # warm the JIT
     for name in out:
-        assert np.array_equal(buf_a[name], buf_b[name]), f"{name} differs between paths"
-
-    t_jit = _time(lambda: run(kernels.grow_tree, buf_a), reps)
-    t_np = _time(lambda: run(kernels._grow_tree_impl, buf_b), reps)
-    return t_jit, t_np
+        assert np.array_equal(buf_jit[name], buf_np[name]), f"{name} differs between paths"
+    return _time(lambda: run(kernels.grow_tree, buf_jit), reps), t_np
 
 
 def bench_forest(n, k, trees, reps):
@@ -89,14 +89,19 @@ def main():
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"numba path active: {kernels.USE_NUMBA}")
-    if not kernels.USE_NUMBA:
-        print("set the env flag off and rerun to compare against the JIT path")
+    if kernels.USE_NUMBA:
+        print("kernel path: numba JIT")
+    elif kernels.HAVE_NUMBA:
+        print(f"kernel path: numpy (JIT path disabled by {kernels.NUMBA_ENV_FLAG}; "
+              "unset it to compare against the JIT path)")
+    else:
+        print("kernel path: numpy (JIT path unavailable: numba is not installed)")
 
     t_jit, t_np = bench_grow(args.n, args.k, args.reps)
     print(f"grow_tree (n={args.n}, k={args.k}):")
-    print(f"  numba  {t_jit * 1e3:8.2f} ms")
-    print(f"  numpy  {t_np * 1e3:8.2f} ms   speedup x{t_np / t_jit:.1f}")
+    if t_jit is not None:
+        print(f"  numba  {t_jit * 1e3:8.2f} ms   speedup x{t_np / t_jit:.1f}")
+    print(f"  numpy  {t_np * 1e3:8.2f} ms")
 
     t_fit, t_mean, t_quant = bench_forest(args.n, args.k, args.trees, args.reps)
     print(f"forest of {args.trees} trees (current path):")

@@ -8,8 +8,9 @@ attrited units.  A weighted-CQR nested baseline, IPW estimation, synthetic
 benchmark generators, and a CLI round out the toolkit.
 """
 
-from .conformal import (ScoreSet, cqr_score, interval_score, unweighted_interval_conformal,
-                        weighted_quantile, weighted_split_cqr)
+from .conformal import (ScoreSet, cqr_score, interval_score,
+                        unweighted_interval_conformal_batch, weighted_quantile,
+                        weighted_split_cqr_batch)
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, PredictionInterval, SplitPlan,
                    ValidationReport, make_splits, validate_dataset)

@@ -8,33 +8,31 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .data import ConformalConfig, DataValidationError, InsufficientDataError
 from .io import (ColumnMapping, RunManifest, digest_of, dump_json, file_digest,
                  load_csv, mc_report_dict, now_iso, write_mc_long_csv)
 from .learners import RoleSpecs
-from .pipelines import ipw_ate
-from .rng import child_seed
-from .simulation import METHODS, DgpSpec, run_mc, run_method
+from .pipelines import aggregate_ate, diff_in_means, ipw_ate
+from .simulation import METHODS, DgpSpec, run_mc, run_replicates
 
 WORKERS_ENV = "ATTRITION_CONFORMAL_WORKERS"
 
 
-def _workers(args) -> int:
+def _workers(args, parser) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        parser.error(f"{WORKERS_ENV} must be an integer, got {env!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +88,7 @@ def cmd_simulate(args, parser) -> int:
     cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed)
     specs = RoleSpecs.uniform(args.learner, seed=args.seed)
     report = run_mc(dgp, args.method, cfg, specs, reps=args.reps,
-                    learner=args.learner, workers=_workers(args))
+                    learner=args.learner, workers=_workers(args, parser))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,13 +115,9 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _two_sample_diff(ds) -> tuple[float, float]:
-    obs = np.flatnonzero(ds.r == 1)
-    y, d = ds.y[obs], ds.d[obs]
-    y1, y0 = y[d == 1], y[d == 0]
-    est = float(y1.mean() - y0.mean())
-    se = math.sqrt(y1.var(ddof=1) / y1.size + y0.var(ddof=1) / y0.size)
-    return est, se
+def _attrition_intervals(rep, draw, result) -> tuple:
+    # the reports need only these; keeping whole results grows memory per rep
+    return result.che_lo, result.che_hi
 
 
 def cmd_analyze(args, parser) -> int:
@@ -134,79 +128,42 @@ def cmd_analyze(args, parser) -> int:
     cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed)
     base_specs = RoleSpecs.uniform(args.learner, seed=args.seed)
 
-    att_n = int((ds.r == 0).sum())
-    per_rep_ate = []
-    per_rep_len = []
-    results = []
-    failures = []
-    for rep in range(args.reps):
-        cfg_rep = replace(cfg, seed=child_seed(cfg.seed, rep))
-        specs = base_specs.reseed(child_seed(cfg.seed, 10_000 + rep))
-        try:
-            res = run_method(ds, args.method, cfg_rep, specs)
-        except (InsufficientDataError, RuntimeError, ValueError) as exc:
-            failures.append(f"rep {rep}: {type(exc).__name__}: {exc}")
-            continue
-        results.append(res)
-        if att_n:
-            finite = np.isfinite(res.che_lo) & np.isfinite(res.che_hi)
-            if finite.any():
-                per_rep_ate.append(float((0.5 * (res.che_lo + res.che_hi))[finite].mean()))
-                per_rep_len.append(float((res.che_hi - res.che_lo)[finite].mean()))
-    if len(failures) > 0.2 * args.reps or not results:
-        raise RuntimeError(f"{len(failures)}/{args.reps} replicates failed; "
-                           f"first: {failures[:3]}")
+    # replicates run in this process: --threads applies to simulate only
+    replicates = run_replicates(ds, args.method, cfg, base_specs, args.reps,
+                                _attrition_intervals)
+    intervals = [iv for _, iv, error in replicates if error is None]
+    failures = [f"rep {rep}: {error}" for rep, _, error in replicates if error is not None]
 
-    ate_r1, se_r1 = _two_sample_diff(ds)
+    diff = diff_in_means(ds)
+    summary = aggregate_ate(intervals, ds, diff.estimate, diff.se)
     ipw = ipw_ate(ds, base_specs, clip=cfg.propensity_clip)
-
-    n_r1 = int((ds.r == 1).sum())
-    if att_n and per_rep_ate:
-        # point estimates and SEs across replications
-        ate_r0 = float(np.mean(per_rep_ate))
-        se_r0 = float(np.std(per_rep_ate, ddof=1)) if len(per_rep_ate) > 1 else math.nan
-        n_all = n_r1 + att_n
-        ate_all = (n_r1 * ate_r1 + att_n * ate_r0) / n_all
-        se_all = math.sqrt((n_r1 / n_all * se_r1) ** 2 + (att_n / n_all * se_r0) ** 2)
-        length = float(np.mean(per_rep_len))
-        se_len = float(np.std(per_rep_len, ddof=1)) if len(per_rep_len) > 1 else math.nan
-    else:
-        ate_r0 = se_r0 = length = se_len = None
-        ate_all, se_all = ate_r1, se_r1
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    estimates = {"ATER1": ate_r1, "ATER0": ate_r0, "ATEall": ate_all, "Length": length}
-    ses = {"ATER1": se_r1, "ATER0": se_r0, "ATEall": se_all, "Length": se_len}
+    estimates = {"ATER1": summary.ate_r1, "ATER0": summary.ate_r0,
+                 "ATEall": summary.ate_all, "Length": summary.length}
+    ses = {"ATER1": summary.se_r1, "ATER0": summary.se_r0,
+           "ATEall": summary.se_all, "Length": summary.se_length}
     summary_doc = {
         "columns": ["ATER1", "ATER0", "ATEall", "Length"],
         "method": args.method,
         "estimates": estimates,
         "standard_errors": ses,
         "ipw": {"ATER1": ipw.estimate, "se": ipw.se},
-        "n_r1": n_r1,
-        "n_r0": att_n,
+        "n_r1": summary.n_r1,
+        "n_r0": summary.n_r0,
         "reps": args.reps,
         "failed_reps": failures,
-        "notes": (None if att_n else "no attrition rows: ATEall equals ATER1"),
+        "notes": (None if summary.n_r0 else "no attrition rows: ATEall equals ATER1"),
     }
     dump_json(summary_doc, out / "ate_summary.json")
 
     with (out / "intervals.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "mean_lo", "mean_hi", "finite_reps"])
-        if att_n and results:
-            att = results[0].att_idx
-            lo = np.vstack([r.che_lo for r in results])
-            hi = np.vstack([r.che_hi for r in results])
-            finite = np.isfinite(lo) & np.isfinite(hi)
-            with np.errstate(invalid="ignore"):
-                cnt = finite.sum(axis=0)
-                mean_lo = np.where(cnt > 0, np.where(finite, lo, 0.0).sum(axis=0) / np.maximum(cnt, 1), math.nan)
-                mean_hi = np.where(cnt > 0, np.where(finite, hi, 0.0).sum(axis=0) / np.maximum(cnt, 1), math.nan)
-            for j, row in enumerate(att):
-                writer.writerow([int(row), repr(float(mean_lo[j])), repr(float(mean_hi[j])),
-                                 int(cnt[j])])
+        for row, lo, hi, cnt in zip(summary.att_idx, summary.mean_lo, summary.mean_hi,
+                                    summary.finite_reps):
+            writer.writerow([int(row), repr(float(lo)), repr(float(hi)), int(cnt)])
 
     command = ["analyze", "--data", str(args.data), "--map", str(args.mapping),
                "--method", args.method, "--reps", str(args.reps),
@@ -222,7 +179,7 @@ def cmd_analyze(args, parser) -> int:
     manifest.wall_time = time.time() - t0
     manifest.write(out / "manifest.json")
     print(f"{args.method} on {args.data}: ATEall "
-          f"{'n/a' if ate_all is None else round(ate_all, 4)} -> {out}")
+          f"{round(summary.ate_all, 4)} -> {out}")
     return 0
 
 

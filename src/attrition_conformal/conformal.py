@@ -7,9 +7,8 @@ import math
 
 import numpy as np
 
-from .data import PredictionInterval
-from .learners import LearnerSpec, fit_mean, fit_quantile_pair
-from .rng import child_seed, make_rng
+from .learners import LearnerSpec, MeanModel, fit_mean, fit_quantile_pair
+from .rng import make_rng
 
 # Relative slack when comparing cumulative weights against the target level;
 # absorbs float dust in normalized-weight sums without changing exact ties.
@@ -77,6 +76,20 @@ def unweighted_quantile(scores: np.ndarray, level: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
+def _weighted_quantiles(sorted_scores: np.ndarray, cum_w: np.ndarray, test_weight,
+                        level: float) -> np.ndarray:
+    """The weighted-quantile rule for one or many test weights.
+
+    ``cum_w`` is the cumulative weight of ``sorted_scores``; each test weight
+    adds the infinity atom to the total mass.  Returns the smallest score
+    whose cumulative weight reaches ``level`` of that total, or +inf.
+    """
+    total = cum_w[-1] + np.asarray(test_weight, dtype=np.float64)
+    hit = np.searchsorted(cum_w, level * total - _CUM_EPS * total, side="left")
+    n = sorted_scores.size
+    return np.where((hit < n) & (total > 0), sorted_scores[np.minimum(hit, n - 1)], math.inf)
+
+
 def weighted_quantile(ss: ScoreSet, level: float) -> float:
     """Quantile of the weighted score distribution with an infinity atom.
 
@@ -92,14 +105,14 @@ def weighted_quantile(ss: ScoreSet, level: float) -> float:
     if ss.weights.size == 0:
         return unweighted_quantile(ss.scores, level)
     order = np.argsort(ss.scores, kind="stable")
-    total = float(ss.weights.sum()) + ss.test_weight
-    if total <= 0:
-        return math.inf
-    cum = np.cumsum(ss.weights[order]) / total
-    hit = np.flatnonzero(cum >= level - _CUM_EPS * max(1.0, abs(level)))
-    if hit.size == 0:
-        return math.inf
-    return float(ss.scores[order][hit[0]])
+    return float(_weighted_quantiles(ss.scores[order], np.cumsum(ss.weights[order]),
+                                     ss.test_weight, level))
+
+
+def expand_interval(lo, hi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """[lo - eta, hi + eta], or (-inf, +inf) where eta is not finite."""
+    finite = np.isfinite(eta)
+    return np.where(finite, lo - eta, -math.inf), np.where(finite, hi + eta, math.inf)
 
 
 @dataclass(frozen=True)
@@ -110,9 +123,8 @@ class CalibratedBand:
     hi: np.ndarray
     eta: np.ndarray
     uninformative: np.ndarray  # True where eta = +inf
-
-    def intervals(self) -> list[PredictionInterval]:
-        return [PredictionInterval(float(l), float(h)) for l, h in zip(self.lo, self.hi)]
+    lo_model: MeanModel | None = None  # endpoint models of interval conformal
+    hi_model: MeanModel | None = None
 
 
 def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: float,
@@ -144,44 +156,25 @@ def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: floa
         raise ValueError("weight_fn must be finite and positive")
 
     t_lo, t_hi = qp.predict(x_test)
-    m = x_test.shape[0]
-    eta = np.empty(m)
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
-    cum_w = np.cumsum(w_cal[order])
-    total_cal = cum_w[-1]
-    for i in range(m):
-        # same rule as weighted_quantile, with only the infinity atom varying
-        total = total_cal + w_test[i]
-        target = (1.0 - level) * total
-        hit = np.searchsorted(cum_w, target - _CUM_EPS * total, side="left")
-        eta[i] = sorted_scores[hit] if hit < sorted_scores.size else math.inf
+    eta = _weighted_quantiles(sorted_scores, np.cumsum(w_cal[order]), w_test, 1.0 - level)
     uninformative = ~np.isfinite(eta)
     if cap_at_max:
         eta = np.where(uninformative, sorted_scores[-1], eta)
-        lo = t_lo - eta
-        hi = t_hi + eta
-    else:
-        lo = np.where(uninformative, -math.inf, t_lo - eta)
-        hi = np.where(uninformative, math.inf, t_hi + eta)
+    lo, hi = expand_interval(t_lo, t_hi, eta)
     return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=uninformative)
 
 
-def weighted_split_cqr(train_x, train_y, cal_x, cal_y, x_test, level: float,
-                       weight_fn, spec: LearnerSpec) -> PredictionInterval:
-    """Single-point weighted split CQR; see :func:`weighted_split_cqr_batch`."""
-    band = weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y,
-                                    np.atleast_2d(x_test), level, weight_fn, spec)
-    return PredictionInterval(float(band.lo[0]), float(band.hi[0]))
-
-
 def unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi, x_test, gamma: float,
-                                        spec: LearnerSpec, seed: int = 0) -> CalibratedBand:
+                                        lo_spec: LearnerSpec, hi_spec: LearnerSpec,
+                                        split_seed: int) -> CalibratedBand:
     """Conformal inference for interval outcomes (unweighted) at many points.
 
-    Splits the observed (x, interval) rows in half, fits endpoint mean models
-    on the first part, scores the second with the interval nonconformity, and
-    expands by the ceil((1 - gamma)(n_cal + 1))-th order statistic.
+    Splits the observed (x, interval) rows in half with ``split_seed``, fits
+    the endpoint mean models (``lo_spec``, ``hi_spec``) on the first part,
+    scores the second with the interval nonconformity, and expands by the
+    ceil((1 - gamma)(n_cal + 1))-th order statistic.
     """
     obs_x = np.atleast_2d(np.asarray(obs_x, dtype=np.float64))
     obs_lo = np.asarray(obs_lo, dtype=np.float64)
@@ -191,30 +184,15 @@ def unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi, x_test, gamma: fl
     if n < 4:
         raise ValueError("interval conformal needs at least 4 observed rows")
 
-    rng = make_rng(child_seed(seed, 0))
-    order = rng.permutation(n)
+    order = make_rng(split_seed).permutation(n)
     n_tr = n // 2
     tr, ca = order[:n_tr], order[n_tr:]
 
-    h_lo = fit_mean(obs_x[tr], obs_lo[tr], spec)
-    h_hi = fit_mean(obs_x[tr], obs_hi[tr], spec)
+    h_lo = fit_mean(obs_x[tr], obs_lo[tr], lo_spec)
+    h_hi = fit_mean(obs_x[tr], obs_hi[tr], hi_spec)
     scores = interval_score(obs_lo[ca], obs_hi[ca], h_lo.predict(obs_x[ca]),
                             h_hi.predict(obs_x[ca]))
-    eta = unweighted_quantile(scores, 1.0 - gamma)
-
-    t_lo = h_lo.predict(x_test)
-    t_hi = h_hi.predict(x_test)
-    m = x_test.shape[0]
-    etas = np.full(m, eta)
-    uninformative = ~np.isfinite(etas)
-    lo = np.where(uninformative, -math.inf, t_lo - eta)
-    hi = np.where(uninformative, math.inf, t_hi + eta)
-    return CalibratedBand(lo=lo, hi=hi, eta=etas, uninformative=uninformative)
-
-
-def unweighted_interval_conformal(obs_x, obs_lo, obs_hi, x_test, gamma: float,
-                                  spec: LearnerSpec, seed: int = 0) -> PredictionInterval:
-    """Single-point variant of :func:`unweighted_interval_conformal_batch`."""
-    band = unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi,
-                                               np.atleast_2d(x_test), gamma, spec, seed)
-    return PredictionInterval(float(band.lo[0]), float(band.hi[0]))
+    eta = np.full(x_test.shape[0], unweighted_quantile(scores, 1.0 - gamma))
+    lo, hi = expand_interval(h_lo.predict(x_test), h_hi.predict(x_test), eta)
+    return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=~np.isfinite(eta),
+                          lo_model=h_lo, hi_model=h_hi)

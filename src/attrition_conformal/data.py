@@ -164,8 +164,8 @@ class ValidationReport:
 def validate_dataset(ds: ExperimentDataset, require_both_arms: bool = False) -> ValidationReport:
     """Check the observation pattern and Table-1 structure of a dataset.
 
-    Structural violations (y present with r=0, y missing with r=1, non-binary
-    d/r) raise :class:`DataValidationError`; empty (d, r) cells are reported
+    Structural violations (y present with r=0, y missing or infinite with
+    r=1, non-binary d/r) raise :class:`DataValidationError`; empty (d, r) cells are reported
     as warnings.
     """
     bad_d = ~np.isin(ds.d, (0, 1))
@@ -181,6 +181,9 @@ def validate_dataset(ds: ExperimentDataset, require_both_arms: bool = False) -> 
         raise DataValidationError(f"outcome present on attrited rows {np.flatnonzero(extra)[:5].tolist()}")
     if missing.any():
         raise DataValidationError(f"outcome missing on responding rows {np.flatnonzero(missing)[:5].tolist()}")
+    infinite = np.isinf(ds.y)
+    if infinite.any():
+        raise DataValidationError(f"non-finite outcome on responding rows {np.flatnonzero(infinite)[:5].tolist()}")
     counts = {}
     warnings = []
     for d in (0, 1):

@@ -143,6 +143,18 @@ class ForestMean(MeanModel):
         return self.forest.predict_mean(_as_matrix(features))
 
 
+def repair_crossing(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move crossed quantile pairs (lo > hi) to their midpoint; inputs stay as they are."""
+    crossed = lo > hi
+    if crossed.any():
+        mid = 0.5 * (lo[crossed] + hi[crossed])
+        lo = lo.copy()
+        hi = hi.copy()
+        lo[crossed] = mid
+        hi[crossed] = mid
+    return lo, hi
+
+
 class QuantilePairModel:
     """Predicts (q_lo(x), q_hi(x)); crossings are repaired to their midpoint."""
 
@@ -157,15 +169,7 @@ class QuantilePairModel:
         raise NotImplementedError
 
     def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self._raw(_as_matrix(features))
-        crossed = lo > hi
-        if crossed.any():
-            mid = 0.5 * (lo[crossed] + hi[crossed])
-            lo = lo.copy()
-            hi = hi.copy()
-            lo[crossed] = mid
-            hi[crossed] = mid
-        return lo, hi
+        return repair_crossing(*self._raw(_as_matrix(features)))
 
 
 class LinearQuantilePair(QuantilePairModel):

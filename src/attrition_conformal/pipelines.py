@@ -8,15 +8,15 @@ import math
 
 import numpy as np
 
-from .conformal import (cqr_score, interval_score, unweighted_quantile,
-                        weighted_split_cqr_batch)
+from .conformal import (cqr_score, expand_interval, interval_score,
+                        unweighted_interval_conformal_batch, weighted_split_cqr_batch)
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, SplitPlan, make_splits, validate_dataset)
 from .eif import (PsiCounterfactualInputs, PsiExtrapolationInputs, initial_eta,
                   psi0_eval, psi1_eval, psiC_eval, solve_smallest_eta)
 from .learners import (MeanModel, ProbabilityModel, RoleSpecs,
                        fit_conditional_cdf, fit_mean, fit_propensity,
-                       fit_quantile, fit_quantile_pair)
+                       fit_quantile, fit_quantile_pair, repair_crossing)
 from .rng import child_seed, make_rng
 
 
@@ -74,12 +74,8 @@ class CiseResult:
         if self.h_lo_model is None:
             raise RuntimeError("no extrapolation models (empty attrition set)")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if not math.isfinite(self.eta_gamma):
-            n = x.shape[0]
-            return np.full(n, -math.inf), np.full(n, math.inf)
-        lo = self.h_lo_model.predict(x) - self.eta_gamma
-        hi = self.h_hi_model.predict(x) + self.eta_gamma
-        return lo, hi
+        return expand_interval(self.h_lo_model.predict(x), self.h_hi_model.predict(x),
+                               self.eta_gamma)
 
 
 def _arm_rows(ds: ExperimentDataset, fold: np.ndarray, arm: int) -> np.ndarray:
@@ -173,13 +169,8 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig,
         if not sel.any():
             continue
         cf = 1 - arm
-        lo, hi = q_models[cf].predict(ds.x[obs[sel]])
-        eta = eta_solutions[cf].eta
-        if math.isfinite(eta):
-            cf_lo, cf_hi = lo - eta, hi + eta
-        else:
-            cf_lo = np.full(lo.shape, -math.inf)
-            cf_hi = np.full(hi.shape, math.inf)
+        cf_lo, cf_hi = expand_interval(*q_models[cf].predict(ds.x[obs[sel]]),
+                                       eta_solutions[cf].eta)
         c_cf_lo[sel], c_cf_hi[sel] = cf_lo, cf_hi
         y = ds.y[obs[sel]]
         if arm == 1:
@@ -291,12 +282,8 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     if sol.degenerate:
         flags.append("eta_gamma is infinite; attrition intervals unbounded")
 
-    if math.isfinite(sol.eta):
-        che_lo = h_lo.predict(endpoint_features(att)) - sol.eta
-        che_hi = h_hi.predict(endpoint_features(att)) + sol.eta
-    else:
-        che_lo = np.full(att.size, -math.inf)
-        che_hi = np.full(att.size, math.inf)
+    che_lo, che_hi = expand_interval(h_lo.predict(endpoint_features(att)),
+                                     h_hi.predict(endpoint_features(att)), sol.eta)
 
     return CiseResult(cal_obs_idx=state.cal_obs_idx, c_cf_lo=state.c_cf_lo,
                       c_cf_hi=state.c_cf_hi, c_ite_lo=state.c_ite_lo,
@@ -386,38 +373,24 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig, specs: Rol
         flo = c_ite_lo[finite]
         fhi = c_ite_hi[finite]
         if exact:
-            rng2 = make_rng(child_seed(cfg.seed, 5))
-            perm = rng2.permutation(fz.size)
-            n_tr = fz.size // 2
-            tr_i, ca_i = perm[:n_tr], perm[n_tr:]
-            h_lo_model = fit_mean(ds.x[fz[tr_i]], flo[tr_i],
-                                  replace(specs.mean, seed=_role_seed(cfg.seed, 24)))
-            h_hi_model = fit_mean(ds.x[fz[tr_i]], fhi[tr_i],
-                                  replace(specs.mean, seed=_role_seed(cfg.seed, 25)))
-            scores = interval_score(flo[ca_i], fhi[ca_i],
-                                    h_lo_model.predict(ds.x[fz[ca_i]]),
-                                    h_hi_model.predict(ds.x[fz[ca_i]]))
-            eta_gamma = unweighted_quantile(scores, 1.0 - cfg.gamma)
-            if not math.isfinite(eta_gamma):
+            band = unweighted_interval_conformal_batch(
+                ds.x[fz], flo, fhi, ds.x[att], cfg.gamma,
+                replace(specs.mean, seed=_role_seed(cfg.seed, 24)),
+                replace(specs.mean, seed=_role_seed(cfg.seed, 25)),
+                child_seed(cfg.seed, 5))
+            if band.uninformative.any():
                 flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
-                che_lo = np.full(att.size, -math.inf)
-                che_hi = np.full(att.size, math.inf)
-            else:
-                che_lo = h_lo_model.predict(ds.x[att]) - eta_gamma
-                che_hi = h_hi_model.predict(ds.x[att]) + eta_gamma
+            eta_gamma = float(band.eta[0])
+            che_lo, che_hi = band.lo, band.hi
+            h_lo_model, h_hi_model = band.lo_model, band.hi_model
         else:
             h_lo_model = fit_quantile(ds.x[fz], flo, cfg.g_lo_level,
                                       replace(specs.quantile, seed=_role_seed(cfg.seed, 26)))
             h_hi_model = fit_quantile(ds.x[fz], fhi, cfg.g_hi_level,
                                       replace(specs.quantile, seed=_role_seed(cfg.seed, 27)))
             eta_gamma = 0.0
-            che_lo = h_lo_model.predict(ds.x[att])
-            che_hi = h_hi_model.predict(ds.x[att])
-            swap = che_lo > che_hi
-            if swap.any():
-                mid = 0.5 * (che_lo[swap] + che_hi[swap])
-                che_lo[swap] = mid
-                che_hi[swap] = mid
+            che_lo, che_hi = repair_crossing(h_lo_model.predict(ds.x[att]),
+                                             h_hi_model.predict(ds.x[att]))
 
     return CiseResult(cal_obs_idx=z2, c_cf_lo=np.full(z2.size, np.nan),
                       c_cf_hi=np.full(z2.size, np.nan), c_ite_lo=c_ite_lo,
@@ -462,6 +435,16 @@ def ipw_ate(ds: ExperimentDataset, specs: RoleSpecs, clip: float = 0.01) -> AteE
                        se=math.sqrt(variances[1] + variances[0]))
 
 
+def diff_in_means(ds: ExperimentDataset) -> AteEstimate:
+    """Observed-group ATE: the difference in arm means over responding rows,
+    with the unpooled two-sample SE."""
+    obs = np.flatnonzero(ds.r == 1)
+    y, d = ds.y[obs], ds.d[obs]
+    y1, y0 = y[d == 1], y[d == 0]
+    return AteEstimate(estimate=float(y1.mean() - y0.mean()),
+                       se=math.sqrt(y1.var(ddof=1) / y1.size + y0.var(ddof=1) / y0.size))
+
+
 @dataclass(frozen=True)
 class AteSummary:
     ate_r1: float
@@ -472,30 +455,56 @@ class AteSummary:
     se_all: float
     n_r1: int
     n_r0: int
+    att_idx: np.ndarray
+    mean_lo: np.ndarray
+    mean_hi: np.ndarray
+    finite_reps: np.ndarray
+    length: float | None = None
+    se_length: float | None = None
 
 
-def aggregate_ate(result: CiseResult, ds: ExperimentDataset, ate_r1: float,
-                  se_r1: float, se_r0: float = math.nan) -> AteSummary:
+def _mean_and_spread(values: list) -> tuple[float, float]:
+    spread = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
+    return float(np.mean(values)), spread
+
+
+def aggregate_ate(intervals: list, ds: ExperimentDataset, ate_r1: float,
+                  se_r1: float) -> AteSummary:
     """Combine the observed-group ATE with the attrition-group midpoint ATE.
 
-    The attrition point estimate is the mean of interval midpoints over rows
-    with finite intervals; SE(ATE over everyone) follows the weighted-average
-    variance formula.  ``se_r0`` comes from the caller (spread across
-    replications); it is NaN for a single run.
+    ``intervals`` holds each replicate's attrition intervals ``(che_lo,
+    che_hi)`` for the rows ``att_idx``.  Only finite intervals count.  Every
+    replicate with one gives a midpoint ATE (the mean midpoint) and a mean
+    length; ATER0 and Length are their means across replicates, with the
+    spread across replicates as SE (NaN for a single one).  SE(ATE over
+    everyone) follows the weighted-average variance formula; without an
+    attrition estimate the ATE over everyone is the observed-group ATE.
+    ``mean_lo``/``mean_hi`` average each row's finite intervals over the
+    ``finite_reps`` replicates that have one (NaN for none).
     """
+    att_idx = np.flatnonzero(ds.r == 0)
     n_r1 = int((ds.r == 1).sum())
-    n_r0 = int((ds.r == 0).sum())
-    if n_r0 == 0:
+    n_r0 = int(att_idx.size)
+    lo = np.vstack([lo for lo, _ in intervals])
+    hi = np.vstack([hi for _, hi in intervals])
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    ates, lengths = [], []
+    for lo_k, hi_k, fin_k in zip(lo, hi, finite):
+        if fin_k.any():
+            ates.append(float((0.5 * (lo_k[fin_k] + hi_k[fin_k])).mean()))
+            lengths.append(float((hi_k - lo_k)[fin_k].mean()))
+    cnt = finite.sum(axis=0)
+    mean_lo = np.where(cnt > 0, np.where(finite, lo, 0.0).sum(axis=0) / np.maximum(cnt, 1), math.nan)
+    mean_hi = np.where(cnt > 0, np.where(finite, hi, 0.0).sum(axis=0) / np.maximum(cnt, 1), math.nan)
+    rows = dict(att_idx=att_idx, mean_lo=mean_lo, mean_hi=mean_hi, finite_reps=cnt)
+    if n_r0 == 0 or not ates:
         return AteSummary(ate_r1=ate_r1, se_r1=se_r1, ate_r0=None, se_r0=None,
-                          ate_all=ate_r1, se_all=se_r1, n_r1=n_r1, n_r0=n_r0)
-    finite = np.isfinite(result.che_lo) & np.isfinite(result.che_hi)
-    if not finite.any():
-        raise RuntimeError("no finite attrition intervals to aggregate")
-    mid = 0.5 * (result.che_lo[finite] + result.che_hi[finite])
-    ate_r0 = float(mid.mean())
-    w1 = n_r1 / (n_r1 + n_r0)
-    w0 = n_r0 / (n_r1 + n_r0)
-    ate_all = w1 * ate_r1 + w0 * ate_r0
-    se_all = math.sqrt((w1 * se_r1) ** 2 + (w0 * se_r0) ** 2)
+                          ate_all=ate_r1, se_all=se_r1, n_r1=n_r1, n_r0=n_r0, **rows)
+    ate_r0, se_r0 = _mean_and_spread(ates)
+    length, se_length = _mean_and_spread(lengths)
+    n_all = n_r1 + n_r0
+    ate_all = (n_r1 * ate_r1 + n_r0 * ate_r0) / n_all
+    se_all = math.sqrt((n_r1 / n_all * se_r1) ** 2 + (n_r0 / n_all * se_r0) ** 2)
     return AteSummary(ate_r1=ate_r1, se_r1=se_r1, ate_r0=ate_r0, se_r0=se_r0,
-                      ate_all=ate_all, se_all=se_all, n_r1=n_r1, n_r0=n_r0)
+                      ate_all=ate_all, se_all=se_all, n_r1=n_r1, n_r0=n_r0,
+                      length=length, se_length=se_length, **rows)

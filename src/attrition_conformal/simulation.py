@@ -10,9 +10,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from scipy.special import betainc, expit, ndtr, ndtri
 
-from .data import ConformalConfig, ExperimentDataset
+from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
+                   InsufficientDataError)
 from .learners import RoleSpecs
-from .pipelines import CiseResult, run_cise, wcqr_nested_baseline
+from .pipelines import (CiseResult, aggregate_ate, diff_in_means, run_cise,
+                        wcqr_nested_baseline)
 from .rng import child_seed, make_rng
 
 DGP1 = "dgp1"
@@ -243,13 +245,6 @@ class McReport:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def _diff_in_means(ds: ExperimentDataset) -> float:
-    obs = np.flatnonzero(ds.r == 1)
-    y = ds.y[obs]
-    d = ds.d[obs]
-    return float(y[d == 1].mean() - y[d == 0].mean())
-
-
 def run_method(ds: ExperimentDataset, method: str, cfg: ConformalConfig,
                specs: RoleSpecs) -> CiseResult:
     if method == "cise":
@@ -261,26 +256,59 @@ def run_method(ds: ExperimentDataset, method: str, cfg: ConformalConfig,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_one_rep(args) -> RepRecord:
-    dgp, method, cfg, specs, learner, rep = args
+def _run_one_rep(args) -> tuple:
+    source, method, cfg, specs, summarize, rep = args
     try:
-        draw = generate(replace(dgp, seed=child_seed(dgp.seed, rep)))
-        cfg_rep = replace(cfg, seed=child_seed(cfg.seed, rep))
-        result = run_method(draw.dataset, method, cfg_rep, specs.reseed(child_seed(cfg.seed, 10_000 + rep)))
-        att = result.att_idx
-        if att.size == 0:
-            return RepRecord(rep=rep, error="no attrition rows in draw")
-        metrics = compute_metrics(result.che_lo, result.che_hi, draw.ite[att])
-        finite = np.isfinite(result.che_lo) & np.isfinite(result.che_hi)
-        mid = 0.5 * (result.che_lo[finite] + result.che_hi[finite])
-        ate_att = float(mid.mean()) if finite.any() else None
-        return RepRecord(rep=rep, coverage=metrics.coverage,
-                         avg_length=metrics.avg_length,
-                         infinite_count=metrics.infinite_count,
-                         ate_r1=_diff_in_means(draw.dataset),
-                         ate_attrition=ate_att, n_attrition=int(att.size))
-    except Exception as exc:  # recorded per rep; the harness enforces the budget
-        return RepRecord(rep=rep, error=f"{type(exc).__name__}: {exc}")
+        draw = None
+        if isinstance(source, DgpSpec):
+            draw = generate(replace(source, seed=child_seed(source.seed, rep)))
+        result = run_method(source if draw is None else draw.dataset, method,
+                            replace(cfg, seed=child_seed(cfg.seed, rep)),
+                            specs.reseed(child_seed(cfg.seed, 10_000 + rep)))
+        return rep, summarize(rep, draw, result), None
+    except DataValidationError:
+        raise
+    except (RuntimeError, ValueError) as exc:  # InsufficientDataError and numerical failures
+        return rep, None, f"{type(exc).__name__}: {exc}"
+
+
+def run_replicates(source, method: str, cfg: ConformalConfig, specs: RoleSpecs,
+                   reps: int, summarize, workers: int = 1) -> list:
+    """Run ``method`` once per replicate with seeds derived from the rep index.
+
+    ``source`` is a :class:`DgpSpec`, drawn afresh for every replicate, or
+    one :class:`ExperimentDataset` that every replicate reuses.  Returns
+    ``(rep, value, error)`` in rep order: ``value`` is ``summarize(rep, draw,
+    result)`` (``draw`` is None for a fixed dataset); ``error`` is ``"Type: message"``
+    for a replicate that failed on too little data or a numerical error.
+    Structural data errors and programming errors propagate.  More than 20%
+    failed replicates raise :class:`RuntimeError`.  ``workers > 1`` runs the
+    replicates in a process pool, so ``summarize`` must then be picklable.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    payloads = [(source, method, cfg, specs, summarize, rep) for rep in range(reps)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(_run_one_rep, payloads))
+    else:
+        out = [_run_one_rep(p) for p in payloads]
+    errors = [f"rep {rep}: {error}" for rep, _, error in out if error is not None]
+    if len(errors) > 0.2 * reps:
+        raise RuntimeError(f"{len(errors)}/{reps} replicates failed; first errors: {errors[:3]}")
+    return out
+
+
+def _rep_record(rep: int, draw: SimulatedDraw, result: CiseResult) -> RepRecord:
+    att = result.att_idx
+    if att.size == 0:
+        raise InsufficientDataError("no attrition rows in draw")
+    metrics = compute_metrics(result.che_lo, result.che_hi, draw.ite[att])
+    diff = diff_in_means(draw.dataset)
+    ate = aggregate_ate([(result.che_lo, result.che_hi)], draw.dataset, diff.estimate, diff.se)
+    return RepRecord(rep=rep, coverage=metrics.coverage, avg_length=metrics.avg_length,
+                     infinite_count=metrics.infinite_count, ate_r1=ate.ate_r1,
+                     ate_attrition=ate.ate_r0, n_attrition=int(att.size))
 
 
 def _mean_sd(values: list) -> tuple[float | None, float | None]:
@@ -301,24 +329,13 @@ def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, specs: RoleSpecs,
     Failed replicates are recorded with their error and excluded from the
     aggregates; more than 20% failures aborts the run.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     start = time.time()
-    payloads = [(dgp, method, cfg, specs, learner, rep) for rep in range(reps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one_rep, payloads))
-    else:
-        records = [_run_one_rep(p) for p in payloads]
-    records.sort(key=lambda r: r.rep)
-
+    records = [value if error is None else RepRecord(rep=rep, error=error)
+               for rep, value, error in run_replicates(dgp, method, cfg, specs, reps,
+                                                       _rep_record, workers)]
     n_failed = sum(1 for r in records if r.error is not None)
-    if n_failed > 0.2 * reps:
-        errors = [r.error for r in records if r.error is not None][:3]
-        raise RuntimeError(f"{n_failed}/{reps} replicates failed; first errors: {errors}")
-
     mean_cov, sd_cov = _mean_sd([r.coverage for r in records])
     mean_len, sd_len = _mean_sd([r.avg_length for r in records])
     mean_ate_r1, _ = _mean_sd([r.ate_r1 for r in records])

@@ -6,10 +6,8 @@ from scipy.special import ndtri
 
 from attrition_conformal.conformal import (ScoreSet, cqr_score,
                                            interval_score,
-                                           unweighted_interval_conformal,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
-                                           weighted_split_cqr,
                                            weighted_split_cqr_batch)
 from attrition_conformal.learners import QUANTILE_LINEAR, LearnerSpec
 from attrition_conformal.rng import make_rng
@@ -187,10 +185,10 @@ def test_constant_outcomes_give_point_interval():
     rng = make_rng(13)
     x = rng.standard_normal((50, 2))
     y = np.full(50, 2.5)
-    iv = weighted_split_cqr(x[:25], y[:25], x[25:], y[25:], x[0], 0.1,
-                            lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                            LearnerSpec(kind=QUANTILE_LINEAR))
-    assert iv.lo == pytest.approx(2.5) and iv.hi == pytest.approx(2.5)
+    band = weighted_split_cqr_batch(x[:25], y[:25], x[25:], y[25:], x[:1], 0.1,
+                                    lambda z: np.ones(np.atleast_2d(z).shape[0]),
+                                    LearnerSpec(kind=QUANTILE_LINEAR))
+    assert band.lo[0] == pytest.approx(2.5) and band.hi[0] == pytest.approx(2.5)
 
 
 def test_uninformative_interval_when_test_weight_dominates():
@@ -240,9 +238,10 @@ def test_interval_conformal_identical_intervals():
     x = rng.standard_normal((40, 2))
     lo = np.zeros(40)
     hi = np.ones(40)
-    iv = unweighted_interval_conformal(x, lo, hi, x[0], 0.2, LearnerSpec(kind="glm"))
-    assert iv.lo == pytest.approx(0.0, abs=1e-9)
-    assert iv.hi == pytest.approx(1.0, abs=1e-9)
+    spec = LearnerSpec(kind="glm")
+    band = unweighted_interval_conformal_batch(x, lo, hi, x[:1], 0.2, spec, spec, split_seed=0)
+    assert band.lo[0] == pytest.approx(0.0, abs=1e-9)
+    assert band.hi[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interval_conformal_quantile_index_rule():
@@ -252,8 +251,9 @@ def test_interval_conformal_quantile_index_rule():
     x = rng.standard_normal((n, 2))
     lo = x[:, 0] - 1.0 + 0.1 * rng.standard_normal(n)
     hi = x[:, 0] + 1.0 + 0.1 * rng.standard_normal(n)
-    band = unweighted_interval_conformal_batch(x, lo, hi, x[:5], 0.05,
-                                               LearnerSpec(kind="glm"), seed=3)
+    spec = LearnerSpec(kind="glm")
+    band = unweighted_interval_conformal_batch(x, lo, hi, x[:5], 0.05, spec, spec,
+                                               split_seed=3)
     assert math.isfinite(band.eta[0])
     # reconstruct: eta must be one of the calibration scores at index 95
     # (verified indirectly: 6% of scores sit above eta, within rounding)
@@ -265,12 +265,13 @@ def test_interval_conformal_single_calibration_row_is_unbounded():
     rng = make_rng(43)
     x = rng.standard_normal((4, 2))  # split 2/2; gamma small forces index 3 > 2
     lo, hi = x[:, 0] - 1, x[:, 0] + 1
+    spec = LearnerSpec(kind="glm")
     with np.errstate(all="ignore"):
-        band = unweighted_interval_conformal_batch(x, lo, hi, x[:2], 0.05,
-                                                   LearnerSpec(kind="glm"), seed=0)
+        band = unweighted_interval_conformal_batch(x, lo, hi, x[:2], 0.05, spec, spec,
+                                                   split_seed=0)
     assert band.uninformative.all()
     assert band.lo[0] == -math.inf
 
     with pytest.raises(ValueError):
-        unweighted_interval_conformal_batch(x[:3], lo[:3], hi[:3], x[:1], 0.05,
-                                            LearnerSpec(kind="glm"))
+        unweighted_interval_conformal_batch(x[:3], lo[:3], hi[:3], x[:1], 0.05, spec, spec,
+                                            split_seed=0)

@@ -39,6 +39,26 @@ def test_missing_outcome_on_responding_row_is_structural_error():
                                            y=[np.nan, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_outcome_on_responding_row_is_structural_error(bad):
+    x = np.ones((3, 2))
+    ds = ExperimentDataset(x=x, d=[1, 0, 1], r=[1, 1, 1], y=[1.0, bad, 2.0])
+    with pytest.raises(DataValidationError, match=r"non-finite outcome on responding rows \[1\]"):
+        validate_dataset(ds)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf"])
+def test_infinite_outcome_in_csv_is_structural_error(tmp_path, bad):
+    from attrition_conformal.io import ColumnMapping, load_csv
+
+    path = tmp_path / "data.csv"
+    path.write_text(f"x1,d,r,y\n0.5,1,1,1.0\n0.1,0,1,{bad}\n0.2,0,0,NA\n")
+    ds = load_csv(path, ColumnMapping(outcome_col="y", treatment_col="d",
+                                      response_col="r", covariate_cols=("x1",)))
+    with pytest.raises(DataValidationError, match=r"non-finite outcome on responding rows \[1\]"):
+        validate_dataset(ds)
+
+
 def test_nonbinary_treatment_rejected():
     x = np.ones((2, 2))
     with pytest.raises(DataValidationError, match="treatment"):

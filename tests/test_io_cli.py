@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -220,16 +221,67 @@ def test_cmd_report_empty_inputs_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_worker_env_override(monkeypatch):
+def test_worker_env_override(monkeypatch, capsys):
     from types import SimpleNamespace
 
-    from attrition_conformal.cli import WORKERS_ENV, _workers
+    from attrition_conformal.cli import WORKERS_ENV, _build_parser, _workers
 
+    parser = _build_parser()
     monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _workers(SimpleNamespace(threads=None)) == 3
-    assert _workers(SimpleNamespace(threads=2)) == 2  # flag beats the env var
+    assert _workers(SimpleNamespace(threads=None), parser) == 3
+    assert _workers(SimpleNamespace(threads=2), parser) == 2  # flag beats the env var
+    monkeypatch.setenv(WORKERS_ENV, "two")
+    with pytest.raises(SystemExit) as exc:
+        _workers(SimpleNamespace(threads=None), parser)
+    assert exc.value.code == 2  # a usage error, not a numerical failure
+    assert WORKERS_ENV in capsys.readouterr().err
     monkeypatch.delenv(WORKERS_ENV)
-    assert _workers(SimpleNamespace(threads=None)) == 1
+    assert _workers(SimpleNamespace(threads=None), parser) == 1
+
+
+def _write_rows(path, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "d", "r", "y"])
+        writer.writerows(rows)
+
+
+def test_analyze_without_observed_controls_is_data_error(tmp_path, capsys):
+    # every responding row is treated: a structural problem of the data,
+    # reported once with exit 3 rather than counted as failed replicates
+    rng = np.random.default_rng(4)
+    rows = []
+    for i in range(200):
+        d, r = (1, 1) if i % 3 else (0, 0)
+        y = repr(float(rng.standard_normal())) if r else "NA"
+        rows.append([repr(float(rng.standard_normal())), repr(float(rng.standard_normal())),
+                     d, r, y])
+    data = tmp_path / "no_controls.csv"
+    _write_rows(data, rows)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"outcome": "y", "treatment": "d", "response": "r",
+                                    "covariates": ["x1", "x2"], "na_tokens": ["NA"]}))
+    for method in ("cise", "wcqr_nested_exact"):
+        rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", method,
+                   "--reps", "2", "--out", str(tmp_path / method)])
+        assert rc == 3
+        assert "replicates failed" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf"])
+def test_analyze_nonfinite_outcome_is_data_error(tmp_path, capsys, bad):
+    rng = np.random.default_rng(5)
+    rows = [[repr(float(rng.standard_normal())), repr(float(rng.standard_normal())),
+             i % 2, 1, repr(float(rng.standard_normal()))] for i in range(100)]
+    rows[17][4] = bad
+    data = tmp_path / "inf.csv"
+    _write_rows(data, rows)
+    map_path = tmp_path / "map.json"
+    _write_mapping(map_path, ["x1", "x2"])
+    rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+               "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "[17]" in capsys.readouterr().err
 
 
 def test_exit_code_for_missing_data(tmp_path):

@@ -7,7 +7,8 @@ from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, make_splits)
 from attrition_conformal.learners import RoleSpecs
 from attrition_conformal.pipelines import (aggregate_ate, cise_step1, cise_step2,
-                                           ipw_ate, run_cise, wcqr_nested_baseline)
+                                           ipw_ate, run_cise,
+                                           wcqr_nested_baseline)
 from attrition_conformal.rng import make_rng
 from attrition_conformal.simulation import DgpSpec, compute_metrics, gen_dgp1
 
@@ -259,21 +260,49 @@ def test_ipw_requires_both_arms():
 
 def test_aggregate_ate_weighted_combination():
     ds, _ = _linear_draw(seed=47)
-    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=53)
-    res = run_cise(ds, cfg, GLM)
-    summary = aggregate_ate(res, ds, ate_r1=1.0, se_r1=0.1, se_r0=0.1)
+    intervals = []
+    for seed in (53, 54):
+        res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=seed), GLM)
+        intervals.append((res.che_lo, res.che_hi))
+    summary = aggregate_ate(intervals, ds, ate_r1=1.0, se_r1=0.1)
+    mids, lengths = [], []
+    for lo, hi in intervals:
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        mids.append(np.mean((lo[finite] + hi[finite]) / 2))
+        lengths.append(np.mean(hi[finite] - lo[finite]))
+    assert summary.ate_r0 == pytest.approx(np.mean(mids))
+    assert summary.se_r0 == pytest.approx(np.std(mids, ddof=1))
+    assert summary.length == pytest.approx(np.mean(lengths))
+    assert summary.se_length == pytest.approx(np.std(lengths, ddof=1))
     n1, n0 = summary.n_r1, summary.n_r0
     assert summary.ate_all == pytest.approx((n1 * 1.0 + n0 * summary.ate_r0) / (n1 + n0))
-    # equal n and equal SEs collapse to s / sqrt(2)
     w1, w0 = n1 / (n1 + n0), n0 / (n1 + n0)
-    assert summary.se_all == pytest.approx(math.hypot(w1 * 0.1, w0 * 0.1))
+    assert summary.se_all == pytest.approx(math.hypot(w1 * 0.1, w0 * summary.se_r0))
+
+
+def test_aggregate_ate_skips_replicates_without_finite_intervals():
+    ds, _ = _linear_draw(seed=47)
+    res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=53), GLM)
+    unbounded = (np.full(res.att_idx.size, -math.inf), np.full(res.att_idx.size, math.inf))
+    one = aggregate_ate([(res.che_lo, res.che_hi), unbounded], ds, ate_r1=1.0, se_r1=0.1)
+    assert one.ate_r0 == aggregate_ate([(res.che_lo, res.che_hi)], ds, 1.0, 0.1).ate_r0
+    assert math.isnan(one.se_r0)  # a single replicate has no spread
+    finite = np.isfinite(res.che_lo) & np.isfinite(res.che_hi)
+    np.testing.assert_array_equal(one.att_idx, res.att_idx)
+    np.testing.assert_array_equal(one.finite_reps, finite.astype(int))
+    np.testing.assert_array_equal(one.mean_lo[finite], res.che_lo[finite])
+    assert np.isnan(one.mean_hi[~finite]).all()
+    none = aggregate_ate([unbounded], ds, ate_r1=1.0, se_r1=0.1)
+    assert none.ate_r0 is None and none.length is None
+    assert none.ate_all == 1.0 and none.se_all == 0.1
+    assert (none.finite_reps == 0).all() and np.isnan(none.mean_lo).all()
 
 
 def test_aggregate_ate_no_attrition_passthrough():
     ds, _ = _linear_draw(attrition=False, seed=59)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=61)
     res = run_cise(ds, cfg, GLM)
-    summary = aggregate_ate(res, ds, ate_r1=0.42, se_r1=0.05)
+    summary = aggregate_ate([(res.che_lo, res.che_hi)], ds, ate_r1=0.42, se_r1=0.05)
     assert summary.ate_r0 is None
     assert summary.ate_all == 0.42
     assert summary.se_all == 0.05

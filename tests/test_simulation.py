@@ -6,6 +6,7 @@ from scipy.special import expit, ndtri
 
 from attrition_conformal.data import ConformalConfig, ExperimentDataset
 from attrition_conformal.learners import RoleSpecs
+from attrition_conformal.rng import child_seed
 from attrition_conformal.simulation import (DgpSpec, appendix_e_e_r, compute_metrics,
                                             dgp1_e_d, dgp1_f, dgp2_e_d, dgp2_e_r,
                                             gen_dgp1, gen_dgp2, gen_dgp_appendix_e,
@@ -187,3 +188,58 @@ def test_run_mc_parallel_matches_serial():
     parallel = run_mc(dgp, "cise", cfg, specs, reps=4, workers=2)
     for rs, rp in zip(serial.reps, parallel.reps):
         assert rs == rp
+
+
+def test_run_mc_programming_error_escapes(monkeypatch):
+    # only data shortfalls and numerical errors count as failed replicates
+    from attrition_conformal import simulation
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed replicate")
+
+    monkeypatch.setattr(simulation, "run_method", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_mc(DgpSpec(kind="dgp1", n=200, seed=0), "cise", ConformalConfig(),
+               RoleSpecs.uniform("glm"), reps=5)
+
+
+def test_run_replicates_error_taxonomy(monkeypatch):
+    from attrition_conformal import simulation
+    from attrition_conformal.data import DataValidationError, InsufficientDataError
+
+    def failing(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    dgp = DgpSpec(kind="dgp1", n=200, seed=0)
+    cfg, specs = ConformalConfig(), RoleSpecs.uniform("glm")
+    monkeypatch.setattr(simulation, "run_method", failing(InsufficientDataError("few rows")))
+    with pytest.raises(RuntimeError, match=r"5/5 replicates failed; first errors: "
+                                           r"\['rep 0: InsufficientDataError: few rows'"):
+        simulation.run_replicates(dgp, "cise", cfg, specs, reps=5,
+                                   summarize=simulation._rep_record)
+    monkeypatch.setattr(simulation, "run_method", failing(DataValidationError("bad column")))
+    with pytest.raises(DataValidationError, match="bad column"):
+        simulation.run_replicates(dgp, "cise", cfg, specs, reps=5,
+                                   summarize=simulation._rep_record)
+
+
+def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
+    from attrition_conformal import simulation
+
+    run_method = simulation.run_method
+
+    def fail_rep_two(ds, method, cfg, specs):
+        if cfg.seed == child_seed(9, 2):
+            raise RuntimeError("singular system")
+        return run_method(ds, method, cfg, specs)
+
+    monkeypatch.setattr(simulation, "run_method", fail_rep_two)
+    report = run_mc(DgpSpec(kind="dgp1", n=500, seed=9), "cise",
+                    ConformalConfig(alpha=0.1, gamma=0.1, seed=9),
+                    RoleSpecs.uniform("glm", seed=9), reps=5)
+    assert report.n_failed == 1
+    assert report.reps[2].error == "RuntimeError: singular system"
+    assert report.reps[2].coverage is None
+    assert all(r.error is None for i, r in enumerate(report.reps) if i != 2)
