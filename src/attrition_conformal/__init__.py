@@ -11,13 +11,13 @@ benchmark generators, and a CLI round out the toolkit.
 from .conformal import (ScoreSet, cqr_score, interval_score,
                         unweighted_interval_conformal_batch, weighted_quantile,
                         weighted_split_cqr_batch)
-from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
-                   InsufficientDataError, PredictionInterval, SplitPlan,
-                   ValidationReport, make_splits, validate_dataset)
+from .data import (LEARNERS, ConformalConfig, DataValidationError, ExperimentDataset,
+                   InsufficientDataError, SplitPlan, ValidationReport, make_splits,
+                   validate_dataset)
 from .eif import (EtaSolution, PsiCounterfactualInputs, PsiExtrapolationInputs,
                   initial_eta, psi0_eval, psi1_eval, psiC_eval, solve_smallest_eta)
-from .learners import (LearnerSpec, RoleSpecs, fit_conditional_cdf, fit_mean,
-                       fit_propensity, fit_quantile, fit_quantile_pair)
+from .learners import (fit_conditional_cdf, fit_mean, fit_propensity, fit_quantile,
+                       fit_quantile_pair)
 from .pipelines import (AteEstimate, AteSummary, CiseResult, aggregate_ate,
                         cise_step1, cise_step2, ipw_ate, run_cise,
                         wcqr_nested_baseline)

@@ -13,10 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-from .data import ConformalConfig, DataValidationError, InsufficientDataError
+from .data import LEARNERS, ConformalConfig, DataValidationError, InsufficientDataError
 from .io import (ColumnMapping, RunManifest, digest_of, dump_json, file_digest,
                  load_csv, mc_report_dict, now_iso, write_mc_long_csv)
-from .learners import RoleSpecs
 from .pipelines import aggregate_ate, diff_in_means, ipw_ate
 from .simulation import METHODS, DgpSpec, run_mc, run_replicates
 
@@ -46,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", required=True, type=int)
     sim.add_argument("--reps", required=True, type=int)
     sim.add_argument("--method", required=True, choices=METHODS)
-    sim.add_argument("--learner", default="glm", choices=("glm", "random_forest"))
+    sim.add_argument("--learner", default="glm", choices=LEARNERS)
     sim.add_argument("--alpha", type=float, default=0.025)
     sim.add_argument("--gamma", type=float, default=0.025)
     sim.add_argument("--rho", type=float, default=None)
@@ -60,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--map", required=True, dest="mapping")
     ana.add_argument("--method", required=True, choices=METHODS)
     ana.add_argument("--reps", type=int, default=10)
-    ana.add_argument("--learner", default="glm", choices=("glm", "random_forest"))
+    ana.add_argument("--learner", default="glm", choices=LEARNERS)
     ana.add_argument("--alpha", type=float, default=0.025)
     ana.add_argument("--gamma", type=float, default=0.025)
     ana.add_argument("--seed", type=int, default=0)
@@ -85,10 +84,9 @@ def cmd_simulate(args, parser) -> int:
 
     dgp = DgpSpec(kind=args.dgp, n=args.n, rho=rho, missingness=args.missingness,
                   seed=args.seed)
-    cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed)
-    specs = RoleSpecs.uniform(args.learner, seed=args.seed)
-    report = run_mc(dgp, args.method, cfg, specs, reps=args.reps,
-                    learner=args.learner, workers=_workers(args, parser))
+    cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
+                          learner=args.learner)
+    report = run_mc(dgp, args.method, cfg, reps=args.reps, workers=_workers(args, parser))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,18 +123,17 @@ def cmd_analyze(args, parser) -> int:
     t0 = time.time()
     mapping = ColumnMapping.from_json(args.mapping)
     ds = load_csv(args.data, mapping)
-    cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed)
-    base_specs = RoleSpecs.uniform(args.learner, seed=args.seed)
+    cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
+                          learner=args.learner)
 
     # replicates run in this process: --threads applies to simulate only
-    replicates = run_replicates(ds, args.method, cfg, base_specs, args.reps,
-                                _attrition_intervals)
+    replicates = run_replicates(ds, args.method, cfg, args.reps, _attrition_intervals)
     intervals = [iv for _, iv, error in replicates if error is None]
     failures = [f"rep {rep}: {error}" for rep, _, error in replicates if error is not None]
 
     diff = diff_in_means(ds)
     summary = aggregate_ate(intervals, ds, diff.estimate, diff.se)
-    ipw = ipw_ate(ds, base_specs, clip=cfg.propensity_clip)
+    ipw = ipw_ate(ds, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

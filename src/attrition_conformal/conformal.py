@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .learners import LearnerSpec, MeanModel, fit_mean, fit_quantile_pair
+from .learners import MeanModel, fit_mean, fit_quantile_pair
 from .rng import make_rng
 
 # Relative slack when comparing cumulative weights against the target level;
@@ -128,17 +128,17 @@ class CalibratedBand:
 
 
 def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: float,
-                             weight_fn, spec: LearnerSpec,
+                             weight_fn, learner: str, seed: int,
                              cap_at_max: bool = False) -> CalibratedBand:
     """Weighted split CQR for a batch of test points.
 
-    Fits the (level/2, 1 - level/2) quantile pair on the proper training
-    rows, scores the calibration rows, and calibrates each test point with
-    the weighted score quantile at 1 - level, the test point entering as the
-    infinity atom.  eta = +inf yields (-inf, +inf), flagged uninformative;
-    with ``cap_at_max`` an unreachable quantile falls back to the largest
-    calibration score instead (still flagged), trading the finite-sample
-    guarantee for a finite, very wide interval.
+    Fits the (level/2, 1 - level/2) quantile pair (``learner``, ``seed``) on
+    the proper training rows, scores the calibration rows, and calibrates
+    each test point with the weighted score quantile at 1 - level, the test
+    point entering as the infinity atom.  eta = +inf yields (-inf, +inf),
+    flagged uninformative; with ``cap_at_max`` an unreachable quantile falls
+    back to the largest calibration score instead (still flagged), trading
+    the finite-sample guarantee for a finite, very wide interval.
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
     cal_x = np.atleast_2d(np.asarray(cal_x, dtype=np.float64))
@@ -146,7 +146,7 @@ def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: floa
     if train_x.shape[0] == 0 or cal_x.shape[0] == 0:
         raise ValueError("train and calibration sets must be non-empty")
 
-    qp = fit_quantile_pair(train_x, train_y, level / 2.0, 1.0 - level / 2.0, spec)
+    qp = fit_quantile_pair(train_x, train_y, level / 2.0, 1.0 - level / 2.0, learner, seed)
     c_lo, c_hi = qp.predict(cal_x)
     scores = cqr_score(np.asarray(cal_y, dtype=np.float64), c_lo, c_hi)
 
@@ -167,14 +167,14 @@ def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: floa
 
 
 def unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi, x_test, gamma: float,
-                                        lo_spec: LearnerSpec, hi_spec: LearnerSpec,
+                                        learner: str, lo_seed: int, hi_seed: int,
                                         split_seed: int) -> CalibratedBand:
     """Conformal inference for interval outcomes (unweighted) at many points.
 
     Splits the observed (x, interval) rows in half with ``split_seed``, fits
-    the endpoint mean models (``lo_spec``, ``hi_spec``) on the first part,
-    scores the second with the interval nonconformity, and expands by the
-    ceil((1 - gamma)(n_cal + 1))-th order statistic.
+    the endpoint mean models (``learner``, seeded ``lo_seed`` and ``hi_seed``)
+    on the first part, scores the second with the interval nonconformity, and
+    expands by the ceil((1 - gamma)(n_cal + 1))-th order statistic.
     """
     obs_x = np.atleast_2d(np.asarray(obs_x, dtype=np.float64))
     obs_lo = np.asarray(obs_lo, dtype=np.float64)
@@ -188,8 +188,8 @@ def unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi, x_test, gamma: fl
     n_tr = n // 2
     tr, ca = order[:n_tr], order[n_tr:]
 
-    h_lo = fit_mean(obs_x[tr], obs_lo[tr], lo_spec)
-    h_hi = fit_mean(obs_x[tr], obs_hi[tr], hi_spec)
+    h_lo = fit_mean(obs_x[tr], obs_lo[tr], learner, lo_seed)
+    h_hi = fit_mean(obs_x[tr], obs_hi[tr], learner, hi_seed)
     scores = interval_score(obs_lo[ca], obs_hi[ca], h_lo.predict(obs_x[ca]),
                             h_hi.predict(obs_x[ca]))
     eta = np.full(x_test.shape[0], unweighted_quantile(scores, 1.0 - gamma))

@@ -1,9 +1,8 @@
-"""Core data types: experiment datasets, intervals, configuration, splits."""
+"""Core data types: experiment datasets, configuration, splits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -65,73 +64,40 @@ class ExperimentDataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
-    """Closed interval [lo, hi]; an infinite endpoint marks an uninformative side."""
+GLM = "glm"
+RANDOM_FOREST = "random_forest"
+LEARNERS = (GLM, RANDOM_FOREST)
 
-    lo: float
-    hi: float
+# fold fractions of make_splits
+PRETRAIN_FRAC = 0.20
+TRAIN_FRAC_OF_REST = 0.75
+STEP2_TRAIN_FRAC = 0.50
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+def check_learner(learner: str) -> None:
+    if learner not in LEARNERS:
+        raise ValueError(f"unknown learner {learner!r}; choose one of {LEARNERS}")
 
 
 @dataclass(frozen=True)
 class ConformalConfig:
-    """Miscoverage budgets, quantile levels, split fractions and solver knobs.
+    """Miscoverage budgets, the run seed and the nuisance-learner family.
 
-    ``q_lo_level``/``q_hi_level`` are the conditional-quantile levels of the
-    counterfactual step (default alpha/2, 1 - alpha/2); ``g_lo_level``/
-    ``g_hi_level`` the endpoint-quantile levels used by the inexact nested
-    baseline (default gamma/2, 1 - gamma/2).
+    ``learner`` is ``glm`` (ridge-IRLS logistic, least squares, linear
+    quantiles) or ``random_forest``; one family serves every nuisance role.
     """
 
     alpha: float = 0.025
     gamma: float = 0.025
-    q_lo_level: float | None = None
-    q_hi_level: float | None = None
-    g_lo_level: float | None = None
-    g_hi_level: float | None = None
-    pretrain_frac: float = 0.20
-    train_frac_of_rest: float = 0.75
-    step2_train_frac: float = 0.50
-    propensity_clip: float = 0.01
-    step2_use_treatment: bool = False
     seed: int = 0
+    learner: str = GLM
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0 and 0.0 < self.gamma < 1.0):
             raise ValueError("alpha and gamma must lie in (0, 1)")
         if self.alpha + self.gamma >= 1.0:
             raise ValueError("alpha + gamma must be < 1")
-        for name in ("pretrain_frac", "train_frac_of_rest", "step2_train_frac"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not (0.0 < self.propensity_clip < 0.5):
-            raise ValueError("propensity_clip must lie in (0, 0.5)")
-        if self.q_lo_level is None:
-            object.__setattr__(self, "q_lo_level", self.alpha / 2.0)
-        if self.q_hi_level is None:
-            object.__setattr__(self, "q_hi_level", 1.0 - self.alpha / 2.0)
-        if self.g_lo_level is None:
-            object.__setattr__(self, "g_lo_level", self.gamma / 2.0)
-        if self.g_hi_level is None:
-            object.__setattr__(self, "g_hi_level", 1.0 - self.gamma / 2.0)
-        if not (0.0 < self.q_lo_level < self.q_hi_level < 1.0):
-            raise ValueError("counterfactual quantile levels out of order")
-        if not (0.0 < self.g_lo_level < self.g_hi_level < 1.0):
-            raise ValueError("extrapolation quantile levels out of order")
+        check_learner(self.learner)
 
 
 @dataclass(frozen=True)
@@ -203,10 +169,10 @@ def validate_dataset(ds: ExperimentDataset, require_both_arms: bool = False) -> 
 def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> SplitPlan:
     """Seeded uniform shuffle, then contiguous slices into the spec'd folds.
 
-    Fold sizes are rounded fractions: pretrain ``pretrain_frac`` of all rows,
-    training ``train_frac_of_rest`` of the remainder (halved into train1 and
-    train2), the rest calibration.  Step-2 folds halve the calibration rows
-    with r = 1.  Deterministic given ``cfg.seed``.
+    Fold sizes are rounded fractions: pretrain ``PRETRAIN_FRAC`` of all rows,
+    training ``TRAIN_FRAC_OF_REST`` of the remainder (halved into train1 and
+    train2), the rest calibration.  Step-2 folds split the calibration rows
+    with r = 1 at ``STEP2_TRAIN_FRAC``.  Deterministic given ``cfg.seed``.
     """
     if n_rows < 8:
         raise InsufficientDataError("insufficient data for split plan (need at least 8 rows)")
@@ -217,9 +183,9 @@ def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> Split
     rng = make_rng(child_seed(cfg.seed, 0))
     order = rng.permutation(n_rows)
 
-    n_pr = int(round(cfg.pretrain_frac * n_rows))
+    n_pr = int(round(PRETRAIN_FRAC * n_rows))
     rest = n_rows - n_pr
-    n_tr = int(round(cfg.train_frac_of_rest * rest))
+    n_tr = int(round(TRAIN_FRAC_OF_REST * rest))
     n_tr1 = n_tr // 2
     pretrain = order[:n_pr]
     train1 = order[n_pr:n_pr + n_tr1]
@@ -233,7 +199,7 @@ def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> Split
     cal_obs = calibration[r_flags[calibration] == 1]
     rng2 = make_rng(child_seed(cfg.seed, 1))
     cal_obs = cal_obs[rng2.permutation(cal_obs.size)]
-    n_s2tr = int(round(cfg.step2_train_frac * cal_obs.size))
+    n_s2tr = int(round(STEP2_TRAIN_FRAC * cal_obs.size))
     step2_train = cal_obs[:n_s2tr]
     step2_cal = cal_obs[n_s2tr:]
 

@@ -10,13 +10,10 @@ from . import kernels
 from .rng import child_seed, make_rng
 
 
-@dataclass
-class ForestParams:
-    n_trees: int = 200
-    max_depth: int = 8
-    min_leaf: int = 5
-    feature_frac: float | None = None  # None -> sqrt(k)/k
-    seed: int = 0
+# fixed forest settings; each split draws mtry ~ sqrt(k) candidate features
+N_TREES = 200
+MAX_DEPTH = 8
+MIN_LEAF = 5
 
 
 @dataclass
@@ -55,11 +52,11 @@ class FittedForest:
                                                float(q_lo), float(q_hi), buf)
 
 
-def fit_forest(x: np.ndarray, y: np.ndarray, params: ForestParams) -> FittedForest:
-    """Grow ``n_trees`` bootstrap CART trees with per-tree derived seeds.
+def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:
+    """Grow ``N_TREES`` bootstrap CART trees with per-tree derived seeds.
 
     Tree t draws its bootstrap sample and feature-subsample stream from
-    ``child_seed(params.seed, t)``, so results do not depend on evaluation
+    ``child_seed(seed, t)``, so results do not depend on evaluation
     order and are reproducible tree by tree.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
@@ -70,10 +67,9 @@ def fit_forest(x: np.ndarray, y: np.ndarray, params: ForestParams) -> FittedFore
     if n < 1:
         raise ValueError("empty fitting sample")
 
-    frac = params.feature_frac if params.feature_frac is not None else np.sqrt(k) / k
-    mtry = max(1, min(k, int(round(frac * k))))
-    max_nodes = 2 ** (params.max_depth + 1)
-    T = params.n_trees
+    mtry = max(1, min(k, int(round(np.sqrt(k) / k * k))))
+    max_nodes = 2 ** (MAX_DEPTH + 1)
+    T = N_TREES
 
     features = np.full((T, max_nodes), -1, np.int64)
     thresholds = np.zeros((T, max_nodes), np.float64)
@@ -86,12 +82,12 @@ def fit_forest(x: np.ndarray, y: np.ndarray, params: ForestParams) -> FittedFore
 
     leaf_id = np.empty(n, np.int64)
     for t in range(T):
-        rng = make_rng(child_seed(params.seed, t))
+        rng = make_rng(child_seed(seed, t))
         boot = rng.integers(0, n, size=n)
         feat_rand = rng.random(max_nodes * mtry)
         xb = np.ascontiguousarray(x[boot])
         yb = y[boot]
-        kernels.grow_tree(xb, yb, params.max_depth, params.min_leaf, mtry, feat_rand,
+        kernels.grow_tree(xb, yb, MAX_DEPTH, MIN_LEAF, mtry, feat_rand,
                           features[t], thresholds[t], lefts[t], rights[t], values[t],
                           leaf_id)
         order = np.argsort(leaf_id, kind="stable")

@@ -192,7 +192,7 @@ def mc_report_dict(report: McReport, run_digest: str) -> dict:
                 "missingness": report.dgp.missingness, "seed": report.dgp.seed,
                 "k": report.dgp.k},
         "method": report.method,
-        "learner": report.learner,
+        "learner": report.cfg.learner,
         "config": {"alpha": report.cfg.alpha, "gamma": report.cfg.gamma,
                    "seed": report.cfg.seed},
         "run_digest": run_digest,

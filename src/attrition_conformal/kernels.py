@@ -1,10 +1,10 @@
 """Hot numeric kernels behind the tree learners.
 
-Each kernel is written once against the numpy array API and compiled with
-numba ``@njit`` by default.  Setting ``ATTRITION_CONFORMAL_NO_NUMBA=1``
-before import selects the plain-numpy path; both paths execute the same
-code, so their outputs are identical.  ``benchmarks/bench_kernels.py``
-times the two side by side.
+Each kernel is written once against the numpy array API.  When numba is
+installed (the optional ``jit`` extra) the kernels are compiled with
+``@njit``; without it, or with ``ATTRITION_CONFORMAL_NO_NUMBA=1`` set before
+import, they run as plain numpy.  Both paths execute the same code, so their
+outputs are identical.
 """
 
 from __future__ import annotations

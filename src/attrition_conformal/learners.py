@@ -1,55 +1,24 @@
 """Built-in base learners for every nuisance function.
 
-Three families behind one spec type: ``glm`` (ridge-IRLS logistic for
-probabilities, least squares for means), ``quantile_linear`` (linear
-conditional quantiles via iteratively reweighted least squares on a smoothed
-pinball loss), and ``random_forest`` (bootstrap CART forest; probabilities
-and means by leaf averaging, quantiles by leaf pooling).
+Two families, named by a learner string: ``glm`` (ridge-IRLS logistic for
+probabilities, least squares for means, linear conditional quantiles via
+iteratively reweighted least squares on a smoothed pinball loss) and
+``random_forest`` (bootstrap CART forest; probabilities and means by leaf
+averaging, quantiles by leaf pooling).  Every fit takes the learner and a
+seed; only the forest draws from the seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .data import InsufficientDataError
-from .forest import FittedForest, ForestParams, fit_forest
+from .data import RANDOM_FOREST, InsufficientDataError, check_learner
+from .forest import FittedForest, fit_forest
 
-GLM = "glm"
-QUANTILE_LINEAR = "quantile_linear"
-RANDOM_FOREST = "random_forest"
-_KINDS = (GLM, QUANTILE_LINEAR, RANDOM_FOREST)
-
-
-@dataclass(frozen=True)
-class LearnerSpec:
-    kind: str = GLM
-    ridge: float = 1e-6
-    n_trees: int = 200
-    max_depth: int = 8
-    min_leaf: int = 5
-    feature_frac: float | None = None  # None -> sqrt(k)/k
-    smoothing: float = 1e-4            # pinball smoothing width
-    max_iter: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.ridge < 0:
-            raise ValueError("ridge penalty must be >= 0")
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("forest hyperparameters must be positive")
-        if self.feature_frac is not None and not (0.0 < self.feature_frac <= 1.0):
-            raise ValueError("feature_frac must lie in (0, 1]")
-        if self.smoothing <= 0 or self.max_iter < 1:
-            raise ValueError("smoothing width and max_iter must be positive")
-
-    def forest_params(self) -> ForestParams:
-        return ForestParams(n_trees=self.n_trees, max_depth=self.max_depth,
-                            min_leaf=self.min_leaf, feature_frac=self.feature_frac,
-                            seed=self.seed)
+RIDGE = 1e-6             # ridge penalty of the linear fits
+SMOOTHING = 1e-4         # pinball smoothing width of the quantile IRLS
+MAX_ITER = 200           # quantile IRLS iterations
+PROPENSITY_CLIP = 0.01   # the clip of every fitted probability
 
 
 def _as_matrix(features) -> np.ndarray:
@@ -73,8 +42,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class ProbabilityModel:
     """Binary-probability predictor; outputs clipped to [clip, 1-clip]."""
 
-    def __init__(self, clip: float, degenerate: bool = False, warning: str | None = None):
-        self.clip = float(clip)
+    def __init__(self, degenerate: bool = False, warning: str | None = None):
         self.degenerate = degenerate
         self.warning = warning
 
@@ -83,12 +51,12 @@ class ProbabilityModel:
 
     def predict_proba(self, features) -> np.ndarray:
         p = self._raw(_as_matrix(features))
-        return np.clip(p, self.clip, 1.0 - self.clip)
+        return np.clip(p, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
 
 
 class ConstantProbability(ProbabilityModel):
-    def __init__(self, p: float, clip: float, degenerate: bool = True, warning: str | None = None):
-        super().__init__(clip, degenerate, warning)
+    def __init__(self, p: float, degenerate: bool = True, warning: str | None = None):
+        super().__init__(degenerate, warning)
         self.p = float(p)
 
     def _raw(self, x):
@@ -96,8 +64,8 @@ class ConstantProbability(ProbabilityModel):
 
 
 class LogisticModel(ProbabilityModel):
-    def __init__(self, intercept: float, coef: np.ndarray, clip: float, warning: str | None = None):
-        super().__init__(clip, degenerate=False, warning=warning)
+    def __init__(self, intercept: float, coef: np.ndarray, warning: str | None = None):
+        super().__init__(degenerate=False, warning=warning)
         self.intercept_ = float(intercept)
         self.coef_ = np.asarray(coef, dtype=np.float64)
 
@@ -106,8 +74,8 @@ class LogisticModel(ProbabilityModel):
 
 
 class ForestProbability(ProbabilityModel):
-    def __init__(self, forest: FittedForest, clip: float):
-        super().__init__(clip)
+    def __init__(self, forest: FittedForest):
+        super().__init__()
         self.forest = forest
 
     def _raw(self, x):
@@ -158,10 +126,7 @@ def repair_crossing(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
 class QuantilePairModel:
     """Predicts (q_lo(x), q_hi(x)); crossings are repaired to their midpoint."""
 
-    def __init__(self, lo_level: float, hi_level: float, converged: bool = True,
-                 warning: str | None = None):
-        self.lo_level = lo_level
-        self.hi_level = hi_level
+    def __init__(self, converged: bool = True, warning: str | None = None):
         self.converged = converged
         self.warning = warning
 
@@ -173,9 +138,9 @@ class QuantilePairModel:
 
 
 class LinearQuantilePair(QuantilePairModel):
-    def __init__(self, lo_model: LinearMean, hi_model: LinearMean, lo_level: float,
-                 hi_level: float, converged: bool, warning: str | None = None):
-        super().__init__(lo_level, hi_level, converged, warning)
+    def __init__(self, lo_model: LinearMean, hi_model: LinearMean, converged: bool,
+                 warning: str | None = None):
+        super().__init__(converged, warning)
         self.lo_model = lo_model
         self.hi_model = hi_model
 
@@ -185,16 +150,18 @@ class LinearQuantilePair(QuantilePairModel):
 
 class ForestQuantilePair(QuantilePairModel):
     def __init__(self, forest: FittedForest, lo_level: float, hi_level: float):
-        super().__init__(lo_level, hi_level)
+        super().__init__()
         self.forest = forest
+        self.lo_level = lo_level
+        self.hi_level = hi_level
 
     def _raw(self, x):
         return self.forest.predict_quantiles(x, self.lo_level, self.hi_level)
 
 
 class ConstantQuantilePair(QuantilePairModel):
-    def __init__(self, lo: float, hi: float, lo_level: float, hi_level: float):
-        super().__init__(lo_level, hi_level)
+    def __init__(self, lo: float, hi: float):
+        super().__init__()
         self.lo = lo
         self.hi = hi
 
@@ -203,7 +170,7 @@ class ConstantQuantilePair(QuantilePairModel):
         return np.full(n, self.lo), np.full(n, self.hi)
 
 
-def _irls_logistic(x: np.ndarray, y: np.ndarray, ridge: float,
+def _irls_logistic(x: np.ndarray, y: np.ndarray,
                    max_iter: int = 100, tol: float = 1e-10) -> tuple[float, np.ndarray, str | None]:
     """Ridge-penalized logistic regression by IRLS; intercept unpenalized."""
     n, k = x.shape
@@ -213,7 +180,7 @@ def _irls_logistic(x: np.ndarray, y: np.ndarray, ridge: float,
     xs = (x - mu) / sd
     design = np.hstack([np.ones((n, 1)), xs])
     beta = np.zeros(k + 1)
-    pen = np.full(k + 1, ridge)
+    pen = np.full(k + 1, RIDGE)
     pen[0] = 0.0
     warning = None
     for _ in range(max_iter):
@@ -241,7 +208,7 @@ def _irls_logistic(x: np.ndarray, y: np.ndarray, ridge: float,
     return intercept, coef, warning
 
 
-def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float, spec: LearnerSpec) -> tuple[float, np.ndarray, bool]:
+def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float) -> tuple[float, np.ndarray, bool]:
     """Linear quantile fit: IRLS on the smoothed (Huberized) pinball loss.
 
     Majorize-minimize with residual weights 1 / (2 max(|r|, smoothing));
@@ -253,15 +220,15 @@ def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float, spec: LearnerSpec
     sd[sd == 0] = 1.0
     xs = (x - mu) / sd
     design = np.hstack([np.ones((n, 1)), xs])
-    pen = np.full(k + 1, max(spec.ridge, 1e-10))
+    pen = np.full(k + 1, RIDGE)
     pen[0] = 1e-12
     scale = max(np.std(y), 1e-12)
 
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     converged = False
-    for _ in range(spec.max_iter):
+    for _ in range(MAX_ITER):
         r = y - design @ beta
-        w = 1.0 / (2.0 * np.maximum(np.abs(r), spec.smoothing))
+        w = 1.0 / (2.0 * np.maximum(np.abs(r), SMOOTHING))
         a = design.T @ (design * w[:, None]) + np.diag(pen)
         b = design.T @ (w * y + (level - 0.5))
         try:
@@ -278,8 +245,9 @@ def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float, spec: LearnerSpec
     return intercept, coef, converged
 
 
-def fit_propensity(features, labels, spec: LearnerSpec, clip: float) -> ProbabilityModel:
+def fit_propensity(features, labels, learner: str, seed: int) -> ProbabilityModel:
     """Fit a clipped binary-probability model (treatment or response propensity)."""
+    check_learner(learner)
     x = _as_matrix(features)
     y = np.asarray(labels, dtype=np.float64)
     if not np.isin(y, (0.0, 1.0)).all():
@@ -287,48 +255,46 @@ def fit_propensity(features, labels, spec: LearnerSpec, clip: float) -> Probabil
     if x.shape[0] != y.shape[0] or x.shape[0] < 1:
         raise ValueError("features and labels must align and be non-empty")
     if y.min() == y.max():
-        p = clip if y[0] == 0.0 else 1.0 - clip
-        return ConstantProbability(p, clip, degenerate=True, warning="single-class labels")
-    if spec.kind == RANDOM_FOREST:
-        return ForestProbability(fit_forest(x, y, spec.forest_params()), clip)
-    if spec.kind == GLM:
-        intercept, coef, warning = _irls_logistic(x, y, spec.ridge)
-        return LogisticModel(intercept, coef, clip, warning)
-    raise ValueError(f"learner kind {spec.kind!r} cannot fit probabilities")
+        p = PROPENSITY_CLIP if y[0] == 0.0 else 1.0 - PROPENSITY_CLIP
+        return ConstantProbability(p, degenerate=True, warning="single-class labels")
+    if learner == RANDOM_FOREST:
+        return ForestProbability(fit_forest(x, y, seed))
+    intercept, coef, warning = _irls_logistic(x, y)
+    return LogisticModel(intercept, coef, warning)
 
 
-def fit_mean(features, targets, spec: LearnerSpec) -> MeanModel:
+def fit_mean(features, targets, learner: str, seed: int) -> MeanModel:
     """Fit a conditional-mean regressor (least squares or regression forest)."""
+    check_learner(learner)
     x = _as_matrix(features)
     y = np.asarray(targets, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and targets must align")
     if x.shape[0] < 2:
         raise InsufficientDataError("fit_mean needs at least 2 rows")
-    if spec.kind == RANDOM_FOREST:
-        return ForestMean(fit_forest(x, y, spec.forest_params()))
+    if learner == RANDOM_FOREST:
+        return ForestMean(fit_forest(x, y, seed))
     design = np.hstack([np.ones((x.shape[0], 1)), x])
     sol, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         # rank-deficient design: fall back to the ridge-regularized solve
-        pen = np.full(design.shape[1], max(spec.ridge, 1e-10))
+        pen = np.full(design.shape[1], RIDGE)
         pen[0] = 0.0
         sol = np.linalg.solve(design.T @ design + np.diag(pen), design.T @ y)
         return LinearMean(sol[0], sol[1:], degenerate=True, warning="rank-deficient design")
     return LinearMean(sol[0], sol[1:])
 
 
-def fit_quantile(features, targets, level: float, spec: LearnerSpec) -> MeanModel:
+def fit_quantile(features, targets, level: float, learner: str, seed: int) -> MeanModel:
     """Fit a single conditional quantile at ``level``."""
+    check_learner(learner)
     x = _as_matrix(features)
     y = np.asarray(targets, dtype=np.float64)
     if not (0.0 < level < 1.0):
         raise ValueError("quantile level must lie in (0, 1)")
-    if spec.kind == RANDOM_FOREST:
-        forest = fit_forest(x, y, spec.forest_params())
-        pair = ForestQuantilePair(forest, level, level)
-        return _QuantileAsMean(pair)
-    intercept, coef, converged = _irls_quantile(x, y, level, spec)
+    if learner == RANDOM_FOREST:
+        return _QuantileAsMean(ForestQuantilePair(fit_forest(x, y, seed), level, level))
+    intercept, coef, converged = _irls_quantile(x, y, level)
     warning = None if converged else "quantile IRLS reached max iterations"
     return LinearMean(intercept, coef, warning=warning)
 
@@ -344,8 +310,9 @@ class _QuantileAsMean(MeanModel):
 
 
 def fit_quantile_pair(features, targets, lo_level: float, hi_level: float,
-                      spec: LearnerSpec) -> QuantilePairModel:
+                      learner: str, seed: int) -> QuantilePairModel:
     """Fit the (lo_level, hi_level) conditional-quantile pair with crossing repair."""
+    check_learner(learner)
     if not (0.0 < lo_level < hi_level < 1.0):
         raise ValueError("need 0 < lo_level < hi_level < 1")
     x = _as_matrix(features)
@@ -355,19 +322,19 @@ def fit_quantile_pair(features, targets, lo_level: float, hi_level: float,
     if x.shape[0] < 4:
         raise InsufficientDataError("fit_quantile_pair needs at least 4 rows")
     if y.min() == y.max():
-        return ConstantQuantilePair(y[0], y[0], lo_level, hi_level)
-    if spec.kind == RANDOM_FOREST:
-        return ForestQuantilePair(fit_forest(x, y, spec.forest_params()), lo_level, hi_level)
-    i_lo, c_lo, ok_lo = _irls_quantile(x, y, lo_level, spec)
-    i_hi, c_hi, ok_hi = _irls_quantile(x, y, hi_level, spec)
+        return ConstantQuantilePair(y[0], y[0])
+    if learner == RANDOM_FOREST:
+        return ForestQuantilePair(fit_forest(x, y, seed), lo_level, hi_level)
+    i_lo, c_lo, ok_lo = _irls_quantile(x, y, lo_level)
+    i_hi, c_hi, ok_hi = _irls_quantile(x, y, hi_level)
     converged = ok_lo and ok_hi
     warning = None if converged else "quantile IRLS reached max iterations"
     return LinearQuantilePair(LinearMean(i_lo, c_lo), LinearMean(i_hi, c_hi),
-                              lo_level, hi_level, converged, warning)
+                              converged, warning)
 
 
-def fit_conditional_cdf(features, scores, eta0: float, spec: LearnerSpec,
-                        clip: float) -> ProbabilityModel:
+def fit_conditional_cdf(features, scores, eta0: float, learner: str,
+                        seed: int) -> ProbabilityModel:
     """Fit the localized conditional CDF surrogate: P(score < eta0 | x).
 
     The label is the strict indicator 1{score < eta0}; the fitted model is
@@ -377,33 +344,4 @@ def fit_conditional_cdf(features, scores, eta0: float, spec: LearnerSpec,
         raise ValueError("eta0 must be finite")
     scores = np.asarray(scores, dtype=np.float64)
     labels = (scores < eta0).astype(np.float64)
-    return fit_propensity(features, labels, spec, clip)
-
-
-@dataclass(frozen=True)
-class RoleSpecs:
-    """Per-role learner selection; defaults every role to the same family."""
-
-    quantile: LearnerSpec
-    propensity: LearnerSpec
-    conditional_cdf: LearnerSpec
-    mean: LearnerSpec
-
-    @classmethod
-    def uniform(cls, family: str, seed: int = 0, **overrides) -> "RoleSpecs":
-        """One family for every role: ``glm`` or ``random_forest``."""
-        if family == GLM:
-            q = LearnerSpec(kind=QUANTILE_LINEAR, seed=seed, **overrides)
-            other = LearnerSpec(kind=GLM, seed=seed, **overrides)
-        elif family == RANDOM_FOREST:
-            q = LearnerSpec(kind=RANDOM_FOREST, seed=seed, **overrides)
-            other = q
-        else:
-            raise ValueError(f"unknown learner family {family!r}")
-        return cls(quantile=q, propensity=other, conditional_cdf=other, mean=other)
-
-    def reseed(self, seed: int) -> "RoleSpecs":
-        return RoleSpecs(quantile=replace(self.quantile, seed=seed),
-                         propensity=replace(self.propensity, seed=seed),
-                         conditional_cdf=replace(self.conditional_cdf, seed=seed),
-                         mean=replace(self.mean, seed=seed))
+    return fit_propensity(features, labels, learner, seed)

@@ -3,7 +3,7 @@ nested baseline, IPW for the observed group, and ATE aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -14,9 +14,8 @@ from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, SplitPlan, make_splits, validate_dataset)
 from .eif import (PsiCounterfactualInputs, PsiExtrapolationInputs, initial_eta,
                   psi0_eval, psi1_eval, psiC_eval, solve_smallest_eta)
-from .learners import (MeanModel, ProbabilityModel, RoleSpecs,
-                       fit_conditional_cdf, fit_mean, fit_propensity,
-                       fit_quantile, fit_quantile_pair, repair_crossing)
+from .learners import (MeanModel, ProbabilityModel, fit_conditional_cdf, fit_mean,
+                       fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
 from .rng import child_seed, make_rng
 
 
@@ -82,8 +81,7 @@ def _arm_rows(ds: ExperimentDataset, fold: np.ndarray, arm: int) -> np.ndarray:
     return fold[(ds.r[fold] == 1) & (ds.d[fold] == arm)]
 
 
-def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig,
-               specs: RoleSpecs) -> Step1State:
+def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> Step1State:
     """Counterfactual step: nuisances on the pretraining fold, localized
     conditional CDFs on the training subfolds, thresholds on calibration."""
     validate_dataset(ds, require_both_arms=True)
@@ -98,17 +96,14 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig,
     q_models = {}
     for arm in (0, 1):
         rows = _arm_rows(ds, plan.pretrain, arm)
-        spec = replace(specs.quantile, seed=_role_seed(cfg.seed, arm))
-        q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows],
-                                          cfg.q_lo_level, cfg.q_hi_level, spec)
+        q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows], cfg.alpha / 2.0,
+                                          1.0 - cfg.alpha / 2.0, cfg.learner,
+                                          _role_seed(cfg.seed, arm))
 
-    e_d_model = fit_propensity(ds.x[plan.pretrain], ds.d[plan.pretrain],
-                               replace(specs.propensity, seed=_role_seed(cfg.seed, 2)),
-                               cfg.propensity_clip)
+    e_d_model = fit_propensity(ds.x[plan.pretrain], ds.d[plan.pretrain], cfg.learner,
+                               _role_seed(cfg.seed, 2))
     e_r_model = fit_propensity(_with_treatment(ds.x[plan.pretrain], ds.d[plan.pretrain]),
-                               ds.r[plan.pretrain],
-                               replace(specs.propensity, seed=_role_seed(cfg.seed, 3)),
-                               cfg.propensity_clip)
+                               ds.r[plan.pretrain], cfg.learner, _role_seed(cfg.seed, 3))
 
     def own_arm_scores(rows: np.ndarray) -> np.ndarray:
         v = np.full(rows.size, np.nan)
@@ -127,10 +122,8 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig,
         eta_init[arm] = initial_eta(v1, 1.0 - cfg.alpha)
         tr2 = _arm_rows(ds, plan.train2, arm)
         v2 = own_arm_scores(tr2)
-        m_models[arm] = fit_conditional_cdf(ds.x[tr2], v2, eta_init[arm],
-                                            replace(specs.conditional_cdf,
-                                                    seed=_role_seed(cfg.seed, 4 + arm)),
-                                            cfg.propensity_clip)
+        m_models[arm] = fit_conditional_cdf(ds.x[tr2], v2, eta_init[arm], cfg.learner,
+                                            _role_seed(cfg.seed, 4 + arm))
 
     cal = plan.calibration
     v_cal = own_arm_scores(cal)
@@ -186,7 +179,7 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig,
 
 
 def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
-               cfg: ConformalConfig, specs: RoleSpecs) -> CiseResult:
+               cfg: ConformalConfig) -> CiseResult:
     """Extrapolation step: expand the step-1 ITE intervals to attrited rows."""
     flags = list(state.flags)
     att = np.flatnonzero(ds.r == 0)
@@ -212,11 +205,6 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     tr_pos = np.array([pos[int(r)] for r in obstr], dtype=np.int64)
     ca_pos = np.array([pos[int(r)] for r in obsca], dtype=np.int64)
 
-    def endpoint_features(rows: np.ndarray) -> np.ndarray:
-        if cfg.step2_use_treatment:
-            return _with_treatment(ds.x[rows], ds.d[rows])
-        return ds.x[rows]
-
     # Endpoint models can only learn from finite surrogate intervals; rows
     # with an unbounded step-1 interval keep a +inf score and stay in the
     # moment, where they honestly count as never covered.
@@ -224,23 +212,20 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     if tr_finite.sum() < obstr.size:
         flags.append(f"{int(obstr.size - tr_finite.sum())} unbounded surrogates "
                      "excluded from endpoint fits")
-    h_lo = fit_mean(endpoint_features(obstr[tr_finite]), state.c_ite_lo[tr_pos[tr_finite]],
-                    replace(specs.mean, seed=_role_seed(cfg.seed, 6)))
-    h_hi = fit_mean(endpoint_features(obstr[tr_finite]), state.c_ite_hi[tr_pos[tr_finite]],
-                    replace(specs.mean, seed=_role_seed(cfg.seed, 7)))
+    h_lo = fit_mean(ds.x[obstr[tr_finite]], state.c_ite_lo[tr_pos[tr_finite]], cfg.learner,
+                    _role_seed(cfg.seed, 6))
+    h_hi = fit_mean(ds.x[obstr[tr_finite]], state.c_ite_hi[tr_pos[tr_finite]], cfg.learner,
+                    _role_seed(cfg.seed, 7))
 
     # P(R | X, D) needs both classes; the step-2 training fold has none with
     # r = 0, so the attrition rows join the fit.
     pi_rows = np.concatenate([obstr, att])
     pi_model = fit_propensity(_with_treatment(ds.x[pi_rows], ds.d[pi_rows]),
-                              ds.r[pi_rows],
-                              replace(specs.propensity, seed=_role_seed(cfg.seed, 8)),
-                              cfg.propensity_clip)
+                              ds.r[pi_rows], cfg.learner, _role_seed(cfg.seed, 8))
 
     def v_c(rows_pos: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return interval_score(state.c_ite_lo[rows_pos], state.c_ite_hi[rows_pos],
-                              h_lo.predict(endpoint_features(rows)),
-                              h_hi.predict(endpoint_features(rows)))
+                              h_lo.predict(ds.x[rows]), h_hi.predict(ds.x[rows]))
 
     # The localized CDF needs out-of-sample scores: endpoint models evaluated
     # on their own fitting rows understate the nonconformity, which drags the
@@ -252,20 +237,18 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     for a, b in ((0, 1), (1, 0)):
         fit_rows, fit_pos = obstr[halves[a]], tr_pos[halves[a]]
         fin = np.isfinite(state.c_ite_lo[fit_pos]) & np.isfinite(state.c_ite_hi[fit_pos])
-        g_lo = fit_mean(endpoint_features(fit_rows[fin]), state.c_ite_lo[fit_pos[fin]],
-                        replace(specs.mean, seed=_role_seed(cfg.seed, 12 + a)))
-        g_hi = fit_mean(endpoint_features(fit_rows[fin]), state.c_ite_hi[fit_pos[fin]],
-                        replace(specs.mean, seed=_role_seed(cfg.seed, 14 + a)))
+        g_lo = fit_mean(ds.x[fit_rows[fin]], state.c_ite_lo[fit_pos[fin]], cfg.learner,
+                        _role_seed(cfg.seed, 12 + a))
+        g_hi = fit_mean(ds.x[fit_rows[fin]], state.c_ite_hi[fit_pos[fin]], cfg.learner,
+                        _role_seed(cfg.seed, 14 + a))
         out_rows, out_pos = obstr[halves[b]], tr_pos[halves[b]]
         v_tr[halves[b]] = interval_score(state.c_ite_lo[out_pos], state.c_ite_hi[out_pos],
-                                         g_lo.predict(endpoint_features(out_rows)),
-                                         g_hi.predict(endpoint_features(out_rows)))
+                                         g_lo.predict(ds.x[out_rows]),
+                                         g_hi.predict(ds.x[out_rows]))
     eta_init_c = initial_eta(v_tr[np.isfinite(v_tr)], 1.0 - cfg.gamma)
 
-    m_c = fit_conditional_cdf(_with_treatment(ds.x[obstr], ds.d[obstr]),
-                              v_tr, eta_init_c,
-                              replace(specs.conditional_cdf, seed=_role_seed(cfg.seed, 9)),
-                              cfg.propensity_clip)
+    m_c = fit_conditional_cdf(_with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, eta_init_c,
+                              cfg.learner, _role_seed(cfg.seed, 9))
 
     solve_rows = np.concatenate([obsca, att])
     v_solve = np.full(solve_rows.size, np.nan)
@@ -282,8 +265,8 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     if sol.degenerate:
         flags.append("eta_gamma is infinite; attrition intervals unbounded")
 
-    che_lo, che_hi = expand_interval(h_lo.predict(endpoint_features(att)),
-                                     h_hi.predict(endpoint_features(att)), sol.eta)
+    che_lo, che_hi = expand_interval(h_lo.predict(ds.x[att]), h_hi.predict(ds.x[att]),
+                                     sol.eta)
 
     return CiseResult(cal_obs_idx=state.cal_obs_idx, c_cf_lo=state.c_cf_lo,
                       c_cf_hi=state.c_cf_hi, c_ite_lo=state.c_ite_lo,
@@ -292,14 +275,14 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
                       h_lo_model=h_lo, h_hi_model=h_hi, flags=flags)
 
 
-def run_cise(ds: ExperimentDataset, cfg: ConformalConfig, specs: RoleSpecs) -> CiseResult:
+def run_cise(ds: ExperimentDataset, cfg: ConformalConfig) -> CiseResult:
     """Full two-step pipeline on one dataset."""
     plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg, specs)
-    return cise_step2(state, ds, plan, cfg, specs)
+    state = cise_step1(ds, plan, cfg)
+    return cise_step2(state, ds, plan, cfg)
 
 
-def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig, specs: RoleSpecs,
+def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
                          exact: bool = True) -> CiseResult:
     """Nested weighted-CQR baseline: counterfactual intervals by weighted
     split CQR on one half of the observed rows, then an unweighted second
@@ -317,9 +300,7 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig, specs: Rol
         if (ds.d[z1] == arm).sum() < 4 or (ds.d[z2] == arm).sum() < 1:
             raise InsufficientDataError(f"too few arm-{arm} rows in the baseline folds")
 
-    e_d_model = fit_propensity(ds.x[z1], ds.d[z1],
-                               replace(specs.propensity, seed=_role_seed(cfg.seed, 20)),
-                               cfg.propensity_clip)
+    e_d_model = fit_propensity(ds.x[z1], ds.d[z1], cfg.learner, _role_seed(cfg.seed, 20))
 
     c_ite_lo = np.empty(z2.size)
     c_ite_hi = np.empty(z2.size)
@@ -347,9 +328,8 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig, specs: Rol
         # unreachable weighted quantiles fall back to the largest score so
         # the baseline keeps producing (very wide) finite intervals
         band = weighted_split_cqr_batch(ds.x[tr], ds.y[tr], ds.x[ca], ds.y[ca],
-                                        ds.x[test], cfg.alpha, weight_fn,
-                                        replace(specs.quantile, seed=_role_seed(cfg.seed, 22 + arm)),
-                                        cap_at_max=True)
+                                        ds.x[test], cfg.alpha, weight_fn, cfg.learner,
+                                        _role_seed(cfg.seed, 22 + arm), cap_at_max=True)
         if band.uninformative.any():
             flags.append(f"{int(band.uninformative.sum())} capped counterfactual intervals (arm {cf})")
         sel = ds.d[z2] == arm
@@ -374,20 +354,18 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig, specs: Rol
         fhi = c_ite_hi[finite]
         if exact:
             band = unweighted_interval_conformal_batch(
-                ds.x[fz], flo, fhi, ds.x[att], cfg.gamma,
-                replace(specs.mean, seed=_role_seed(cfg.seed, 24)),
-                replace(specs.mean, seed=_role_seed(cfg.seed, 25)),
-                child_seed(cfg.seed, 5))
+                ds.x[fz], flo, fhi, ds.x[att], cfg.gamma, cfg.learner,
+                _role_seed(cfg.seed, 24), _role_seed(cfg.seed, 25), child_seed(cfg.seed, 5))
             if band.uninformative.any():
                 flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
             eta_gamma = float(band.eta[0])
             che_lo, che_hi = band.lo, band.hi
             h_lo_model, h_hi_model = band.lo_model, band.hi_model
         else:
-            h_lo_model = fit_quantile(ds.x[fz], flo, cfg.g_lo_level,
-                                      replace(specs.quantile, seed=_role_seed(cfg.seed, 26)))
-            h_hi_model = fit_quantile(ds.x[fz], fhi, cfg.g_hi_level,
-                                      replace(specs.quantile, seed=_role_seed(cfg.seed, 27)))
+            h_lo_model = fit_quantile(ds.x[fz], flo, cfg.gamma / 2.0, cfg.learner,
+                                      _role_seed(cfg.seed, 26))
+            h_hi_model = fit_quantile(ds.x[fz], fhi, 1.0 - cfg.gamma / 2.0, cfg.learner,
+                                      _role_seed(cfg.seed, 27))
             eta_gamma = 0.0
             che_lo, che_hi = repair_crossing(h_lo_model.predict(ds.x[att]),
                                              h_hi_model.predict(ds.x[att]))
@@ -405,14 +383,14 @@ class AteEstimate:
     se: float
 
 
-def ipw_ate(ds: ExperimentDataset, specs: RoleSpecs, clip: float = 0.01) -> AteEstimate:
+def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
     """Hajek-style IPW ATE on the observed rows, weighting by the inverse of
-    the treatment and response propensities."""
+    the treatment and response propensities (both fits seeded ``cfg.seed``)."""
     obs = np.flatnonzero(ds.r == 1)
     if (ds.d[obs] == 1).sum() == 0 or (ds.d[obs] == 0).sum() == 0:
         raise DataValidationError("IPW needs observed rows in both arms")
-    e_d_model = fit_propensity(ds.x, ds.d, specs.propensity, clip)
-    e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, specs.propensity, clip)
+    e_d_model = fit_propensity(ds.x, ds.d, cfg.learner, cfg.seed)
+    e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, cfg.learner, cfg.seed)
 
     x_obs = ds.x[obs]
     d_obs = ds.d[obs]

@@ -12,7 +12,6 @@ from scipy.special import betainc, expit, ndtr, ndtri
 
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError)
-from .learners import RoleSpecs
 from .pipelines import (CiseResult, aggregate_ate, diff_in_means, run_cise,
                         wcqr_nested_baseline)
 from .rng import child_seed, make_rng
@@ -233,7 +232,6 @@ class McReport:
     dgp: DgpSpec
     method: str
     cfg: ConformalConfig
-    learner: str
     reps: list
     mean_coverage: float | None
     sd_coverage: float | None
@@ -245,26 +243,24 @@ class McReport:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def run_method(ds: ExperimentDataset, method: str, cfg: ConformalConfig,
-               specs: RoleSpecs) -> CiseResult:
+def run_method(ds: ExperimentDataset, method: str, cfg: ConformalConfig) -> CiseResult:
     if method == "cise":
-        return run_cise(ds, cfg, specs)
+        return run_cise(ds, cfg)
     if method == "wcqr_nested_exact":
-        return wcqr_nested_baseline(ds, cfg, specs, exact=True)
+        return wcqr_nested_baseline(ds, cfg, exact=True)
     if method == "wcqr_nested_inexact":
-        return wcqr_nested_baseline(ds, cfg, specs, exact=False)
+        return wcqr_nested_baseline(ds, cfg, exact=False)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _run_one_rep(args) -> tuple:
-    source, method, cfg, specs, summarize, rep = args
+    source, method, cfg, summarize, rep = args
     try:
         draw = None
         if isinstance(source, DgpSpec):
             draw = generate(replace(source, seed=child_seed(source.seed, rep)))
         result = run_method(source if draw is None else draw.dataset, method,
-                            replace(cfg, seed=child_seed(cfg.seed, rep)),
-                            specs.reseed(child_seed(cfg.seed, 10_000 + rep)))
+                            replace(cfg, seed=child_seed(cfg.seed, rep)))
         return rep, summarize(rep, draw, result), None
     except DataValidationError:
         raise
@@ -272,8 +268,8 @@ def _run_one_rep(args) -> tuple:
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 
-def run_replicates(source, method: str, cfg: ConformalConfig, specs: RoleSpecs,
-                   reps: int, summarize, workers: int = 1) -> list:
+def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summarize,
+                   workers: int = 1) -> list:
     """Run ``method`` once per replicate with seeds derived from the rep index.
 
     ``source`` is a :class:`DgpSpec`, drawn afresh for every replicate, or
@@ -287,7 +283,7 @@ def run_replicates(source, method: str, cfg: ConformalConfig, specs: RoleSpecs,
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    payloads = [(source, method, cfg, specs, summarize, rep) for rep in range(reps)]
+    payloads = [(source, method, cfg, summarize, rep) for rep in range(reps)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             out = list(pool.map(_run_one_rep, payloads))
@@ -322,8 +318,8 @@ def _mean_sd(values: list) -> tuple[float | None, float | None]:
     return mean, sd
 
 
-def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, specs: RoleSpecs,
-           reps: int, learner: str = "", workers: int = 1) -> McReport:
+def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, reps: int,
+           workers: int = 1) -> McReport:
     """Monte Carlo replications with per-rep derived seeds.
 
     Failed replicates are recorded with their error and excluded from the
@@ -333,14 +329,14 @@ def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, specs: RoleSpecs,
         raise ValueError(f"method must be one of {METHODS}")
     start = time.time()
     records = [value if error is None else RepRecord(rep=rep, error=error)
-               for rep, value, error in run_replicates(dgp, method, cfg, specs, reps,
-                                                       _rep_record, workers)]
+               for rep, value, error in run_replicates(dgp, method, cfg, reps, _rep_record,
+                                                       workers)]
     n_failed = sum(1 for r in records if r.error is not None)
     mean_cov, sd_cov = _mean_sd([r.coverage for r in records])
     mean_len, sd_len = _mean_sd([r.avg_length for r in records])
     mean_ate_r1, _ = _mean_sd([r.ate_r1 for r in records])
     mean_ate_att, _ = _mean_sd([r.ate_attrition for r in records])
-    return McReport(dgp=dgp, method=method, cfg=cfg, learner=learner, reps=records,
+    return McReport(dgp=dgp, method=method, cfg=cfg, reps=records,
                     mean_coverage=mean_cov, sd_coverage=sd_cov,
                     mean_length=mean_len, sd_length=sd_len,
                     mean_ate_r1=mean_ate_r1, mean_ate_attrition=mean_ate_att,

@@ -7,6 +7,7 @@ Carlo runs are shared across criteria through module-scoped fixtures.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from attrition_conformal.data import ConformalConfig, ExperimentDataset, make_sp
 from attrition_conformal.eif import (PsiCounterfactualInputs, PsiExtrapolationInputs,
                                      psi0_eval, psi1_eval, psiC_eval,
                                      solve_smallest_eta)
-from attrition_conformal.learners import LearnerSpec, RoleSpecs
 from attrition_conformal.pipelines import cise_step1, run_cise
 from attrition_conformal.rng import make_rng
 from attrition_conformal.simulation import (DgpSpec, dgp1_e_d, dgp1_e_r,
@@ -26,6 +26,7 @@ from attrition_conformal.simulation import (DgpSpec, dgp1_e_d, dgp1_e_r,
 
 SEED = 20260810
 CFG = ConformalConfig(alpha=0.025, gamma=0.025, seed=SEED)
+FOREST_CFG = replace(CFG, learner="random_forest")
 DGP1_1000 = DgpSpec(kind="dgp1", n=1000, rho=0.0, seed=SEED)
 
 
@@ -36,21 +37,17 @@ def _report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def cise_glm_mc():
-    return run_mc(DGP1_1000, "cise", CFG, RoleSpecs.uniform("glm", seed=1),
-                  reps=25, learner="glm")
+    return run_mc(DGP1_1000, "cise", CFG, reps=25)
 
 
 @pytest.fixture(scope="module")
 def cise_forest_mc():
-    return run_mc(DGP1_1000, "cise", CFG, RoleSpecs.uniform("random_forest", seed=1),
-                  reps=25, learner="random_forest")
+    return run_mc(DGP1_1000, "cise", FOREST_CFG, reps=25)
 
 
 @pytest.fixture(scope="module")
 def wcqr_forest_mc():
-    return run_mc(DGP1_1000, "wcqr_nested_exact", CFG,
-                  RoleSpecs.uniform("random_forest", seed=1),
-                  reps=25, learner="random_forest")
+    return run_mc(DGP1_1000, "wcqr_nested_exact", FOREST_CFG, reps=25)
 
 
 def test_criterion_1_split_cqr_marginal_coverage():
@@ -60,7 +57,6 @@ def test_criterion_1_split_cqr_marginal_coverage():
     rng = make_rng(SEED)
     alpha = 0.1
     covers = []
-    spec = LearnerSpec(kind="quantile_linear", seed=0)
     for _ in range(50):
         beta = rng.standard_normal(4)
         x = rng.standard_normal((2200, 4))
@@ -68,7 +64,7 @@ def test_criterion_1_split_cqr_marginal_coverage():
         band = weighted_split_cqr_batch(x[:1000], y[:1000], x[1000:2000], y[1000:2000],
                                         x[2000:], alpha,
                                         lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                                        spec)
+                                        "glm", 0)
         covers.append(np.mean((band.lo <= y[2000:]) & (y[2000:] <= band.hi)))
     mean_cov = float(np.mean(covers))
     elapsed = time.time() - start
@@ -114,8 +110,7 @@ def test_criterion_5_baseline_conservative():
     """MAR attrition DGP (5 covariates), n=2000, 25 reps, nested-exact
     baseline with forest learners: mean coverage >= 0.97."""
     dgp = DgpSpec(kind="appendixE", n=2000, seed=SEED)
-    report = run_mc(dgp, "wcqr_nested_exact", CFG,
-                    RoleSpecs.uniform("random_forest", seed=1), reps=25)
+    report = run_mc(dgp, "wcqr_nested_exact", FOREST_CFG, reps=25)
     ok = report.mean_coverage >= 0.97
     _report(5, ok, f"baseline coverage {report.mean_coverage:.4f} (>= 0.97)")
 
@@ -312,12 +307,11 @@ def test_criterion_9_extrapolation_nesting():
         r2[pseudo] = 0
         ds2 = ExperimentDataset(x=ds.x, d=ds.d, r=r2, y=np.where(r2 == 1, ds.y, np.nan))
         cfg = ConformalConfig(alpha=CFG.alpha, gamma=CFG.gamma, seed=SEED + rep)
-        specs = RoleSpecs.uniform("glm", seed=rep)
-        res = run_cise(ds2, cfg, specs)
+        res = run_cise(ds2, cfg)
         if not math.isfinite(res.eta_gamma):
             continue
         plan = make_splits(ds2.n, ds2.r, cfg)
-        state = cise_step1(ds2, plan, cfg, specs)
+        state = cise_step1(ds2, plan, cfg)
         for arm in (0, 1):
             rows = pseudo[ds.d[pseudo] == arm]
             if rows.size == 0 or not math.isfinite(state.eta_solutions[1 - arm].eta):

@@ -9,7 +9,6 @@ from attrition_conformal.conformal import (ScoreSet, cqr_score,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
                                            weighted_split_cqr_batch)
-from attrition_conformal.learners import QUANTILE_LINEAR, LearnerSpec
 from attrition_conformal.rng import make_rng
 
 
@@ -112,7 +111,6 @@ def test_batch_cqr_eta_agrees_with_weighted_quantile():
     cal_x = rng.standard_normal((150, 2))
     cal_y = rng.standard_normal(150)
     x_test = rng.standard_normal((10, 2))
-    spec = LearnerSpec(kind=QUANTILE_LINEAR, seed=1)
 
     def weight_fn(z):
         z = np.atleast_2d(z)
@@ -120,10 +118,10 @@ def test_batch_cqr_eta_agrees_with_weighted_quantile():
 
     level = 0.2
     band = weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test,
-                                    level, weight_fn, spec)
+                                    level, weight_fn, "glm", 1)
     from attrition_conformal.learners import fit_quantile_pair
 
-    qp = fit_quantile_pair(train_x, train_y, level / 2, 1 - level / 2, spec)
+    qp = fit_quantile_pair(train_x, train_y, level / 2, 1 - level / 2, "glm", 1)
     lo, hi = qp.predict(cal_x)
     scores = np.maximum(lo - cal_y, cal_y - hi)
     w_cal = weight_fn(cal_x)
@@ -146,11 +144,11 @@ def test_weighted_quantile_raising_top_weight_never_decreases():
 
 # ---- weighted split CQR -----------------------------------------------------
 
-def _independent_split_cqr(train_x, train_y, cal_x, cal_y, x_test, alpha, spec):
+def _independent_split_cqr(train_x, train_y, cal_x, cal_y, x_test, alpha, learner, seed):
     """Plain split CQR written independently of the weighted implementation."""
     from attrition_conformal.learners import fit_quantile_pair
 
-    qp = fit_quantile_pair(train_x, train_y, alpha / 2, 1 - alpha / 2, spec)
+    qp = fit_quantile_pair(train_x, train_y, alpha / 2, 1 - alpha / 2, learner, seed)
     lo, hi = qp.predict(cal_x)
     scores = np.maximum(lo - cal_y, cal_y - hi)
     k = math.ceil((1 - alpha) * (len(cal_y) + 1))
@@ -166,12 +164,11 @@ def test_weight_one_reduces_to_plain_split_cqr():
     cal_x = rng.standard_normal((999, 3))
     cal_y = rng.standard_normal(999)
     x_test = rng.standard_normal((20, 3))
-    spec = LearnerSpec(kind=QUANTILE_LINEAR, seed=0)
 
     band = weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, 0.1,
-                                    lambda x: np.ones(np.atleast_2d(x).shape[0]), spec)
+                                    lambda x: np.ones(np.atleast_2d(x).shape[0]), "glm", 0)
     want_lo, want_hi = _independent_split_cqr(train_x, train_y, cal_x, cal_y,
-                                              x_test, 0.1, spec)
+                                              x_test, 0.1, "glm", 0)
     assert np.allclose(band.lo, want_lo)
     assert np.allclose(band.hi, want_hi)
     # eta is the 900th order statistic of the calibration scores
@@ -187,7 +184,7 @@ def test_constant_outcomes_give_point_interval():
     y = np.full(50, 2.5)
     band = weighted_split_cqr_batch(x[:25], y[:25], x[25:], y[25:], x[:1], 0.1,
                                     lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                                    LearnerSpec(kind=QUANTILE_LINEAR))
+                                    "glm", 0)
     assert band.lo[0] == pytest.approx(2.5) and band.hi[0] == pytest.approx(2.5)
 
 
@@ -203,11 +200,11 @@ def test_uninformative_interval_when_test_weight_dominates():
 
     x_test = np.full((1, 2), 99.0)
     band = weighted_split_cqr_batch(x[:20], y[:20], x[20:], y[20:], x_test, 0.1,
-                                    weight_fn, LearnerSpec(kind=QUANTILE_LINEAR))
+                                    weight_fn, "glm", 0)
     assert band.uninformative[0]
     assert band.lo[0] == -math.inf and band.hi[0] == math.inf
     capped = weighted_split_cqr_batch(x[:20], y[:20], x[20:], y[20:], x_test, 0.1,
-                                      weight_fn, LearnerSpec(kind=QUANTILE_LINEAR),
+                                      weight_fn, "glm", 0,
                                       cap_at_max=True)
     assert capped.uninformative[0] and math.isfinite(capped.lo[0])
 
@@ -223,7 +220,7 @@ def test_split_cqr_marginal_coverage():
         band = weighted_split_cqr_batch(x[:150], y[:150], x[150:300], y[150:300],
                                         x[300:], 0.1,
                                         lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                                        LearnerSpec(kind=QUANTILE_LINEAR))
+                                        "glm", 0)
         hits += int(np.sum((band.lo <= y[300:]) & (y[300:] <= band.hi)))
         total += 60
     coverage = hits / total
@@ -238,8 +235,7 @@ def test_interval_conformal_identical_intervals():
     x = rng.standard_normal((40, 2))
     lo = np.zeros(40)
     hi = np.ones(40)
-    spec = LearnerSpec(kind="glm")
-    band = unweighted_interval_conformal_batch(x, lo, hi, x[:1], 0.2, spec, spec, split_seed=0)
+    band = unweighted_interval_conformal_batch(x, lo, hi, x[:1], 0.2, "glm", 0, 0, split_seed=0)
     assert band.lo[0] == pytest.approx(0.0, abs=1e-9)
     assert band.hi[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -251,8 +247,7 @@ def test_interval_conformal_quantile_index_rule():
     x = rng.standard_normal((n, 2))
     lo = x[:, 0] - 1.0 + 0.1 * rng.standard_normal(n)
     hi = x[:, 0] + 1.0 + 0.1 * rng.standard_normal(n)
-    spec = LearnerSpec(kind="glm")
-    band = unweighted_interval_conformal_batch(x, lo, hi, x[:5], 0.05, spec, spec,
+    band = unweighted_interval_conformal_batch(x, lo, hi, x[:5], 0.05, "glm", 0, 0,
                                                split_seed=3)
     assert math.isfinite(band.eta[0])
     # reconstruct: eta must be one of the calibration scores at index 95
@@ -265,13 +260,12 @@ def test_interval_conformal_single_calibration_row_is_unbounded():
     rng = make_rng(43)
     x = rng.standard_normal((4, 2))  # split 2/2; gamma small forces index 3 > 2
     lo, hi = x[:, 0] - 1, x[:, 0] + 1
-    spec = LearnerSpec(kind="glm")
     with np.errstate(all="ignore"):
-        band = unweighted_interval_conformal_batch(x, lo, hi, x[:2], 0.05, spec, spec,
+        band = unweighted_interval_conformal_batch(x, lo, hi, x[:2], 0.05, "glm", 0, 0,
                                                    split_seed=0)
     assert band.uninformative.all()
     assert band.lo[0] == -math.inf
 
     with pytest.raises(ValueError):
-        unweighted_interval_conformal_batch(x[:3], lo[:3], hi[:3], x[:1], 0.05, spec, spec,
+        unweighted_interval_conformal_batch(x[:3], lo[:3], hi[:3], x[:1], 0.05, "glm", 0, 0,
                                             split_seed=0)

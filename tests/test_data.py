@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, InsufficientDataError,
-                                      PredictionInterval, make_splits,
-                                      validate_dataset)
+                                      make_splits, validate_dataset)
 
 
 def table_pattern_dataset():
@@ -85,24 +85,16 @@ def test_dataset_arrays_are_frozen():
         ds.x[0, 0] = 99.0
 
 
-def test_interval_invariants():
-    assert PredictionInterval(-1.0, 2.0).length == 3.0
-    assert PredictionInterval(0.0, 0.0).contains(0.0)
-    assert PredictionInterval(-np.inf, np.inf).length == np.inf
-    with pytest.raises(ValueError):
-        PredictionInterval(1.0, 0.0)
-
-
 def test_config_validation():
-    cfg = ConformalConfig(alpha=0.05, gamma=0.05)
-    assert cfg.q_lo_level == 0.025 and cfg.q_hi_level == 0.975
-    assert cfg.g_lo_level == 0.025 and cfg.g_hi_level == 0.975
+    cfg = ConformalConfig(alpha=0.05, gamma=0.05, seed=3, learner="random_forest")
+    assert (cfg.alpha, cfg.gamma, cfg.seed, cfg.learner) == (0.05, 0.05, 3, "random_forest")
+    assert ConformalConfig().learner == "glm"
     with pytest.raises(ValueError):
         ConformalConfig(alpha=0.6, gamma=0.5)
     with pytest.raises(ValueError):
-        ConformalConfig(propensity_clip=0.5)
-    with pytest.raises(ValueError):
-        ConformalConfig(pretrain_frac=1.0)
+        ConformalConfig(alpha=0.0)
+    with pytest.raises(ValueError, match="unknown learner"):
+        ConformalConfig(learner="quantile_linear")
 
 
 def test_split_sizes_at_default_fractions():
@@ -115,12 +107,15 @@ def test_split_sizes_at_default_fractions():
     assert plan.calibration.size == 200
 
 
-def test_split_partition_property():
-    rng = np.random.default_rng(0)
-    r = (rng.random(257) < 0.6).astype(int)
-    plan = make_splits(257, r, ConformalConfig(seed=9))
-    merged = np.concatenate([plan.pretrain, plan.train1, plan.train2, plan.calibration])
-    assert np.array_equal(np.sort(merged), np.arange(257))
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(8, 3000), pattern_seed=st.integers(0, 2**32 - 1),
+       response_rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+def test_split_partition_property(n, pattern_seed, response_rate, seed):
+    r = (np.random.default_rng(pattern_seed).random(n) < response_rate).astype(int)
+    plan = make_splits(n, r, ConformalConfig(seed=seed))
+    folds = (plan.pretrain, plan.train1, plan.train2, plan.calibration)
+    assert all(fold.size > 0 for fold in folds)
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
     # step-2 folds partition the calibration rows with r = 1
     cal_obs = plan.calibration[r[plan.calibration] == 1]
     merged2 = np.concatenate([plan.step2_train, plan.step2_cal])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import expit, ndtri
 
-from attrition_conformal.data import InsufficientDataError
-from attrition_conformal.learners import (GLM, QUANTILE_LINEAR, RANDOM_FOREST,
-                                          LearnerSpec, RoleSpecs,
+from attrition_conformal.data import GLM, RANDOM_FOREST, InsufficientDataError
+from attrition_conformal.learners import (ForestMean, ForestProbability,
+                                          ForestQuantilePair, LinearMean,
+                                          LinearQuantilePair, LogisticModel,
                                           fit_conditional_cdf, fit_mean,
                                           fit_propensity, fit_quantile,
                                           fit_quantile_pair)
@@ -14,12 +15,20 @@ CLIP = 0.01
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        LearnerSpec(kind="boosting")
-    with pytest.raises(ValueError):
-        LearnerSpec(ridge=-1.0)
-    with pytest.raises(ValueError):
-        LearnerSpec(feature_frac=1.5)
+    # every fit rejects an unknown learner name, also on data it would fit
+    # without a model (single-class labels, constant targets)
+    x, y = np.zeros((10, 2)), np.arange(10.0)
+    for bad in ("boosting", "quantile_linear"):
+        with pytest.raises(ValueError, match="unknown learner"):
+            fit_propensity(x, np.ones(10), bad, 0)
+        with pytest.raises(ValueError, match="unknown learner"):
+            fit_mean(x, y, bad, 0)
+        with pytest.raises(ValueError, match="unknown learner"):
+            fit_quantile(x, y, 0.5, bad, 0)
+        with pytest.raises(ValueError, match="unknown learner"):
+            fit_quantile_pair(x, np.full(10, 1.0), 0.1, 0.9, bad, 0)
+        with pytest.raises(ValueError, match="unknown learner"):
+            fit_conditional_cdf(x, y, 0.5, bad, 0)
 
 
 # ---- propensities -----------------------------------------------------------
@@ -29,16 +38,16 @@ def test_propensity_balanced_noise_predicts_half():
     rng = make_rng(1)
     x = rng.standard_normal((10_000, 2))
     labels = (rng.random(10_000) < 0.5).astype(float)
-    model = fit_propensity(x, labels, LearnerSpec(kind=GLM), CLIP)
+    model = fit_propensity(x, labels, GLM, 0)
     p = model.predict_proba(rng.standard_normal((500, 2)))
     assert np.all(np.abs(p - 0.5) < 0.02)
 
 
 def test_propensity_single_class_degenerates_to_clip():
-    model = fit_propensity(np.zeros((10, 2)), np.ones(10), LearnerSpec(kind=GLM), CLIP)
+    model = fit_propensity(np.zeros((10, 2)), np.ones(10), GLM, 0)
     assert model.degenerate
     assert np.allclose(model.predict_proba(np.zeros((3, 2))), 1.0 - CLIP)
-    model0 = fit_propensity(np.zeros((10, 2)), np.zeros(10), LearnerSpec(kind=GLM), CLIP)
+    model0 = fit_propensity(np.zeros((10, 2)), np.zeros(10), GLM, 0)
     assert np.allclose(model0.predict_proba(np.zeros((3, 2))), CLIP)
 
 
@@ -52,7 +61,7 @@ def test_propensity_recovers_attrition_model_coefficients():
     x2 = rng.standard_normal(n)
     p = expit(-0.25 + 0.5 * d + 0.2 * x1 - 0.3 * x2)
     labels = (rng.random(n) < p).astype(float)
-    model = fit_propensity(np.column_stack([d, x1, x2]), labels, LearnerSpec(kind=GLM), CLIP)
+    model = fit_propensity(np.column_stack([d, x1, x2]), labels, GLM, 0)
     assert abs(model.intercept_ - (-0.25)) < 0.1
     assert np.all(np.abs(model.coef_ - np.array([0.5, 0.2, -0.3])) < 0.1)
 
@@ -62,7 +71,7 @@ def test_propensity_outputs_always_clipped():
     x = rng.standard_normal((500, 2))
     labels = (x[:, 0] > 0).astype(float)  # separable -> extreme fitted logits
     for kind in (GLM, RANDOM_FOREST):
-        model = fit_propensity(x, labels, LearnerSpec(kind=kind, n_trees=30), CLIP)
+        model = fit_propensity(x, labels, kind, 0)
         p = model.predict_proba(rng.standard_normal((300, 2)) * 3)
         assert p.min() >= CLIP and p.max() <= 1.0 - CLIP
 
@@ -75,7 +84,7 @@ def test_quantile_pair_gaussian_tails():
     x = rng.standard_normal((20_000, 3))
     y = rng.standard_normal(20_000)
     z = ndtri(0.975)
-    qp = fit_quantile_pair(x, y, 0.025, 0.975, LearnerSpec(kind=QUANTILE_LINEAR))
+    qp = fit_quantile_pair(x, y, 0.025, 0.975, GLM, 0)
     lo, hi = qp.predict(x[:200])
     assert abs(lo.mean() - (-z)) < 0.05
     assert abs(hi.mean() - z) < 0.05
@@ -87,14 +96,14 @@ def test_quantile_intercept_only_equals_empirical_quantile():
     y = rng.standard_normal(501)
     x = np.zeros((501, 1))
     for level in (0.1, 0.33, 0.5, 0.9):
-        m = fit_quantile(x, y, level, LearnerSpec(kind=QUANTILE_LINEAR))
+        m = fit_quantile(x, y, level, GLM, 0)
         want = np.quantile(y, level, method="inverted_cdf")
         assert abs(m.predict(x[:1])[0] - want) < 1e-3
 
 
 def test_quantile_constant_targets_exact():
     qp = fit_quantile_pair(np.zeros((30, 2)), np.full(30, 3.0), 0.1, 0.9,
-                           LearnerSpec(kind=QUANTILE_LINEAR))
+                           GLM, 0)
     lo, hi = qp.predict(np.zeros((4, 2)))
     assert np.array_equal(lo, np.full(4, 3.0))
     assert np.array_equal(hi, np.full(4, 3.0))
@@ -102,15 +111,15 @@ def test_quantile_constant_targets_exact():
 
 def test_quantile_level_order_enforced():
     with pytest.raises(ValueError):
-        fit_quantile_pair(np.zeros((30, 1)), np.arange(30.0), 0.9, 0.1, LearnerSpec())
+        fit_quantile_pair(np.zeros((30, 1)), np.arange(30.0), 0.9, 0.1, GLM, 0)
 
 
 def test_quantile_no_crossing_after_repair():
     rng = make_rng(9)
     x = rng.standard_normal((60, 5))
     y = 0.1 * rng.standard_normal(60)
-    for kind in (QUANTILE_LINEAR, RANDOM_FOREST):
-        qp = fit_quantile_pair(x, y, 0.45, 0.55, LearnerSpec(kind=kind, n_trees=25))
+    for kind in (GLM, RANDOM_FOREST):
+        qp = fit_quantile_pair(x, y, 0.45, 0.55, kind, 0)
         lo, hi = qp.predict(rng.standard_normal((200, 5)) * 2)
         assert (lo <= hi).all()
 
@@ -119,7 +128,7 @@ def test_forest_quantiles_gaussian_tails():
     rng = make_rng(12)
     x = rng.standard_normal((4000, 3))
     y = rng.standard_normal(4000)
-    qp = fit_quantile_pair(x, y, 0.05, 0.95, LearnerSpec(kind=RANDOM_FOREST, n_trees=100))
+    qp = fit_quantile_pair(x, y, 0.05, 0.95, RANDOM_FOREST, 0)
     lo, hi = qp.predict(x[:200])
     z = ndtri(0.95)
     # leaf pooling shrinks tails a bit; a loose band around the truth
@@ -132,13 +141,13 @@ def test_forest_quantiles_gaussian_tails():
 def test_mean_exact_linear_recovery():
     rng = make_rng(21)
     x = rng.standard_normal((100, 4))
-    m = fit_mean(x, 2.0 * x[:, 0], LearnerSpec(kind=GLM))
+    m = fit_mean(x, 2.0 * x[:, 0], GLM, 0)
     assert np.abs(m.predict(x) - 2.0 * x[:, 0]).max() < 1e-8
 
 
 def test_mean_constant_targets():
     m = fit_mean(np.random.default_rng(0).standard_normal((50, 3)), np.full(50, 4.5),
-                 LearnerSpec(kind=GLM))
+                 GLM, 0)
     assert np.allclose(m.predict(np.zeros((5, 3))), 4.5)
 
 
@@ -146,7 +155,7 @@ def test_mean_rank_deficient_falls_back_to_ridge():
     rng = make_rng(2)
     base = rng.standard_normal((40, 2))
     x = np.column_stack([base, base[:, 0]])  # duplicated column
-    m = fit_mean(x, base[:, 0] + 0.1 * rng.standard_normal(40), LearnerSpec(kind=GLM))
+    m = fit_mean(x, base[:, 0] + 0.1 * rng.standard_normal(40), GLM, 0)
     assert m.degenerate and m.warning == "rank-deficient design"
     assert np.isfinite(m.predict(x)).all()
 
@@ -156,8 +165,8 @@ def test_forest_beats_glm_on_friedman_surface():
     x = rng.random((800, 5))
     y = (10 * np.sin(np.pi * x[:, 0] * x[:, 1]) + 20 * (x[:, 2] - 0.5) ** 2
          + 10 * x[:, 3] + 5 * x[:, 4] + rng.standard_normal(800))
-    glm = fit_mean(x, y, LearnerSpec(kind=GLM))
-    forest = fit_mean(x, y, LearnerSpec(kind=RANDOM_FOREST, n_trees=100, seed=2))
+    glm = fit_mean(x, y, GLM, 0)
+    forest = fit_mean(x, y, RANDOM_FOREST, 2)
     mse_glm = np.mean((glm.predict(x) - y) ** 2)
     mse_forest = np.mean((forest.predict(x) - y) ** 2)
     assert mse_forest <= mse_glm
@@ -165,7 +174,7 @@ def test_forest_beats_glm_on_friedman_surface():
 
 def test_mean_too_few_rows():
     with pytest.raises(InsufficientDataError):
-        fit_mean(np.zeros((1, 2)), np.zeros(1), LearnerSpec())
+        fit_mean(np.zeros((1, 2)), np.zeros(1), GLM, 0)
 
 
 # ---- conditional CDF --------------------------------------------------------
@@ -175,7 +184,7 @@ def test_conditional_cdf_uniform_scores():
     rng = make_rng(8)
     x = rng.standard_normal((20_000, 3))
     scores = rng.random(20_000)
-    model = fit_conditional_cdf(x, scores, 0.3, LearnerSpec(kind=GLM), CLIP)
+    model = fit_conditional_cdf(x, scores, 0.3, GLM, 0)
     p = model.predict_proba(x[:300])
     assert np.all(np.abs(p - 0.3) < 0.03)
 
@@ -184,25 +193,29 @@ def test_conditional_cdf_degenerate_thresholds():
     rng = make_rng(4)
     x = rng.standard_normal((100, 2))
     scores = rng.random(100)
-    below = fit_conditional_cdf(x, scores, scores.min() - 1.0, LearnerSpec(kind=GLM), CLIP)
+    below = fit_conditional_cdf(x, scores, scores.min() - 1.0, GLM, 0)
     assert np.allclose(below.predict_proba(x[:5]), CLIP)
-    above = fit_conditional_cdf(x, scores, scores.max() + 1.0, LearnerSpec(kind=GLM), CLIP)
+    above = fit_conditional_cdf(x, scores, scores.max() + 1.0, GLM, 0)
     assert np.allclose(above.predict_proba(x[:5]), 1.0 - CLIP)
 
 
 def test_conditional_cdf_requires_finite_threshold():
     with pytest.raises(ValueError):
-        fit_conditional_cdf(np.zeros((10, 1)), np.zeros(10), np.inf, LearnerSpec(), CLIP)
+        fit_conditional_cdf(np.zeros((10, 1)), np.zeros(10), np.inf, GLM, 0)
 
 
-# ---- role specs -------------------------------------------------------------
+# ---- learner families -------------------------------------------------------
 
-def test_role_specs_uniform_families():
-    glm = RoleSpecs.uniform("glm", seed=4)
-    assert glm.quantile.kind == QUANTILE_LINEAR and glm.mean.kind == GLM
-    rf = RoleSpecs.uniform("random_forest", seed=4)
-    assert rf.propensity.kind == RANDOM_FOREST
-    reseeded = rf.reseed(99)
-    assert reseeded.quantile.seed == 99
-    with pytest.raises(ValueError):
-        RoleSpecs.uniform("boosting")
+def test_learner_families_per_role():
+    # one family serves every role: glm fits linear models, random_forest forests
+    rng = make_rng(6)
+    x = rng.standard_normal((120, 3))
+    y = x[:, 0] + rng.standard_normal(120)
+    labels = (rng.random(120) < 0.5).astype(float)
+    for learner, pair, prob, mean in ((GLM, LinearQuantilePair, LogisticModel, LinearMean),
+                                      (RANDOM_FOREST, ForestQuantilePair, ForestProbability,
+                                       ForestMean)):
+        assert isinstance(fit_quantile_pair(x, y, 0.1, 0.9, learner, 4), pair)
+        assert isinstance(fit_propensity(x, labels, learner, 4), prob)
+        assert isinstance(fit_conditional_cdf(x, y, 0.0, learner, 4), prob)
+        assert isinstance(fit_mean(x, y, learner, 4), mean)

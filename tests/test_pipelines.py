@@ -5,15 +5,11 @@ import pytest
 
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, make_splits)
-from attrition_conformal.learners import RoleSpecs
 from attrition_conformal.pipelines import (aggregate_ate, cise_step1, cise_step2,
                                            ipw_ate, run_cise,
                                            wcqr_nested_baseline)
 from attrition_conformal.rng import make_rng
 from attrition_conformal.simulation import DgpSpec, compute_metrics, gen_dgp1
-
-GLM = RoleSpecs.uniform("glm", seed=5)
-
 
 def _linear_draw(n=600, attrition=True, noise=1.0, seed=0):
     """Simple linear DGP with known potential outcomes for pipeline checks."""
@@ -35,7 +31,7 @@ def test_eq5_arithmetic_on_output():
     ds, _ = _linear_draw()
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=2)
     plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg, GLM)
+    state = cise_step1(ds, plan, cfg)
     # treated rows: C_ITE = [y - cf_hi, y - cf_lo]; controls mirrored
     y = ds.y[state.cal_obs_idx]
     d = ds.d[state.cal_obs_idx]
@@ -52,7 +48,7 @@ def test_factual_coverage_duality():
     ds, _ = _linear_draw(seed=4)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=7)
     plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg, GLM)
+    state = cise_step1(ds, plan, cfg)
     for arm in (0, 1):
         eta = state.eta_solutions[arm].eta
         rows = state.cal_obs_idx[ds.d[state.cal_obs_idx] == arm]
@@ -80,7 +76,7 @@ def test_noiseless_dgp_ite_intervals_contain_zero():
     ds = ExperimentDataset(x=x, d=d, r=r, y=np.where(r == 1, y1, np.nan))
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
     plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg, GLM)
+    state = cise_step1(ds, plan, cfg)
     finite = np.isfinite(state.c_ite_lo)
     # the noiseless construction collapses intervals to float-dust width, so
     # containment is evaluated up to that dust
@@ -92,7 +88,7 @@ def test_noiseless_dgp_ite_intervals_contain_zero():
 def test_cise_step2_zero_attrition():
     ds, _ = _linear_draw(attrition=False)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=11)
-    res = run_cise(ds, cfg, GLM)
+    res = run_cise(ds, cfg)
     assert res.att_idx.size == 0
     assert res.che_lo.size == 0
     assert any("no attrition rows" in f for f in res.flags)
@@ -103,7 +99,7 @@ def test_cise_step2_zero_attrition():
 def test_cise_constant_surrogates_expand_nonnegatively():
     ds, _ = _linear_draw(seed=21)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=13)
-    res = run_cise(ds, cfg, GLM)
+    res = run_cise(ds, cfg)
     assert math.isfinite(res.eta_gamma)
     # every attrition interval is the endpoint model value +- eta_gamma
     lo, hi = res.extrapolate(ds.x[res.att_idx])
@@ -134,7 +130,7 @@ def test_cise_step2_constant_surrogates_hand_fixture():
                        eta_init={}, eta_solutions={}, cal_obs_idx=obs,
                        c_cf_lo=np.full(obs.size, a), c_cf_hi=np.full(obs.size, b),
                        c_ite_lo=np.full(obs.size, a), c_ite_hi=np.full(obs.size, b))
-    res = cise_step2(state, ds, plan, cfg, GLM)
+    res = cise_step2(state, ds, plan, cfg)
     assert res.eta_gamma >= 0.0
     assert res.eta_gamma == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(res.che_lo, a, atol=1e-8)
@@ -147,7 +143,7 @@ def test_cise_attrition_coverage_on_dgp1():
     for rep in range(5):
         draw = gen_dgp1(DgpSpec(kind="dgp1", n=1000, seed=100 + rep))
         cfg = ConformalConfig(alpha=0.025, gamma=0.025, seed=rep)
-        res = run_cise(draw.dataset, cfg, GLM)
+        res = run_cise(draw.dataset, cfg)
         m = compute_metrics(res.che_lo, res.che_hi, draw.ite[res.att_idx])
         covs.append(m.coverage)
     assert np.mean(covs) >= 0.90
@@ -168,14 +164,14 @@ def test_extrapolation_nesting_on_holdout():
         ds2 = ExperimentDataset(x=ds.x, d=ds.d, r=r2,
                                 y=np.where(r2 == 1, ds.y, np.nan))
         cfg = ConformalConfig(alpha=0.025, gamma=0.025, seed=rep)
-        res = run_cise(ds2, cfg, GLM)
+        res = run_cise(ds2, cfg)
         if not math.isfinite(res.eta_gamma):
             continue
         # rebuild the surrogate interval each pseudo row would have received
         # in step 1, from the same run's fitted models and thresholds
         d = ds.d[pseudo]
         plan = make_splits(ds2.n, ds2.r, cfg)
-        state = cise_step1(ds2, plan, cfg, GLM)
+        state = cise_step1(ds2, plan, cfg)
         for arm in (0, 1):
             rows = pseudo[d == arm]
             if rows.size == 0:
@@ -202,7 +198,7 @@ def test_wcqr_unit_weights_reduce_to_unweighted():
     # baseline runs as plain CQR
     ds, _ = _linear_draw(n=900, seed=17)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=19)
-    res = wcqr_nested_baseline(ds, cfg, GLM, exact=True)
+    res = wcqr_nested_baseline(ds, cfg, exact=True)
     finite = np.isfinite(res.c_ite_lo)
     assert finite.mean() > 0.95
     assert math.isfinite(res.eta_gamma)
@@ -211,7 +207,7 @@ def test_wcqr_unit_weights_reduce_to_unweighted():
 def test_wcqr_inexact_variant_produces_intervals():
     ds, _ = _linear_draw(n=900, seed=23)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=29)
-    res = wcqr_nested_baseline(ds, cfg, GLM, exact=False)
+    res = wcqr_nested_baseline(ds, cfg, exact=False)
     assert res.che_lo.size == res.att_idx.size
     assert (res.che_lo <= res.che_hi).all()
 
@@ -219,7 +215,7 @@ def test_wcqr_inexact_variant_produces_intervals():
 def test_wcqr_noiseless_linear_contains_truth():
     ds, ite = _linear_draw(n=1200, noise=0.0, seed=31)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=37)
-    res = wcqr_nested_baseline(ds, cfg, GLM, exact=True)
+    res = wcqr_nested_baseline(ds, cfg, exact=True)
     m = compute_metrics(res.che_lo, res.che_hi, ite[res.att_idx])
     assert m.coverage == 1.0
 
@@ -232,7 +228,7 @@ def test_ipw_reduces_to_diff_in_means_under_constant_propensities():
     d = np.tile([0, 1], n // 2)
     y = 1.5 * d + rng.standard_normal(n)
     ds = ExperimentDataset(x=x, d=d, r=np.ones(n, dtype=int), y=y)
-    est = ipw_ate(ds, GLM)
+    est = ipw_ate(ds, ConformalConfig(seed=5))
     diff = y[d == 1].mean() - y[d == 0].mean()
     assert est.estimate == pytest.approx(diff, abs=0.02)
     assert est.se > 0
@@ -244,7 +240,7 @@ def test_ipw_matches_truth_on_dgp1():
     ds = draw.dataset
     obs = ds.r == 1
     truth = float(draw.ite[obs].mean())
-    est = ipw_ate(ds, GLM)
+    est = ipw_ate(ds, ConformalConfig(seed=5))
     assert abs(est.estimate - truth) < 3 * max(est.se, 0.05)
 
 
@@ -255,14 +251,14 @@ def test_ipw_requires_both_arms():
     ds = ExperimentDataset(x=x, d=np.ones(n, dtype=int), r=np.ones(n, dtype=int),
                            y=rng.standard_normal(n))
     with pytest.raises(DataValidationError):
-        ipw_ate(ds, GLM)
+        ipw_ate(ds, ConformalConfig(seed=5))
 
 
 def test_aggregate_ate_weighted_combination():
     ds, _ = _linear_draw(seed=47)
     intervals = []
     for seed in (53, 54):
-        res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=seed), GLM)
+        res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=seed))
         intervals.append((res.che_lo, res.che_hi))
     summary = aggregate_ate(intervals, ds, ate_r1=1.0, se_r1=0.1)
     mids, lengths = [], []
@@ -282,7 +278,7 @@ def test_aggregate_ate_weighted_combination():
 
 def test_aggregate_ate_skips_replicates_without_finite_intervals():
     ds, _ = _linear_draw(seed=47)
-    res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=53), GLM)
+    res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=53))
     unbounded = (np.full(res.att_idx.size, -math.inf), np.full(res.att_idx.size, math.inf))
     one = aggregate_ate([(res.che_lo, res.che_hi), unbounded], ds, ate_r1=1.0, se_r1=0.1)
     assert one.ate_r0 == aggregate_ate([(res.che_lo, res.che_hi)], ds, 1.0, 0.1).ate_r0
@@ -301,7 +297,7 @@ def test_aggregate_ate_skips_replicates_without_finite_intervals():
 def test_aggregate_ate_no_attrition_passthrough():
     ds, _ = _linear_draw(attrition=False, seed=59)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=61)
-    res = run_cise(ds, cfg, GLM)
+    res = run_cise(ds, cfg)
     summary = aggregate_ate([(res.che_lo, res.che_hi)], ds, ate_r1=0.42, se_r1=0.05)
     assert summary.ate_r0 is None
     assert summary.ate_all == 0.42

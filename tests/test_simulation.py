@@ -5,7 +5,6 @@ import pytest
 from scipy.special import expit, ndtri
 
 from attrition_conformal.data import ConformalConfig, ExperimentDataset
-from attrition_conformal.learners import RoleSpecs
 from attrition_conformal.rng import child_seed
 from attrition_conformal.simulation import (DgpSpec, appendix_e_e_r, compute_metrics,
                                             dgp1_e_d, dgp1_f, dgp2_e_d, dgp2_e_r,
@@ -130,13 +129,12 @@ def test_truths_never_reach_estimators():
 def test_run_mc_single_rep_and_determinism():
     dgp = DgpSpec(kind="dgp1", n=500, seed=9)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=9)
-    specs = RoleSpecs.uniform("glm", seed=9)
-    one = run_mc(dgp, "cise", cfg, specs, reps=1)
+    one = run_mc(dgp, "cise", cfg, reps=1)
     assert len(one.reps) == 1
     assert one.sd_coverage is None  # SDs absent with a single replicate
 
-    a = run_mc(dgp, "cise", cfg, specs, reps=3)
-    b = run_mc(dgp, "cise", cfg, specs, reps=3)
+    a = run_mc(dgp, "cise", cfg, reps=3)
+    b = run_mc(dgp, "cise", cfg, reps=3)
     for ra, rb in zip(a.reps, b.reps):
         assert ra == rb
     assert a.mean_coverage == b.mean_coverage
@@ -145,15 +143,14 @@ def test_run_mc_single_rep_and_determinism():
 def test_run_mc_rejects_unknown_method():
     with pytest.raises(ValueError):
         run_mc(DgpSpec(kind="dgp1", n=100, seed=0), "magic",
-               ConformalConfig(), RoleSpecs.uniform("glm"), reps=1)
+               ConformalConfig(), reps=1)
 
 
 def test_run_mc_covers_on_every_generator():
     cfg = ConformalConfig(alpha=0.05, gamma=0.05, seed=3)
-    specs = RoleSpecs.uniform("glm", seed=3)
     for kind, rho in (("dgp2", 0.0), ("dgp2", 0.9), ("appendixE", 0.0)):
         report = run_mc(DgpSpec(kind=kind, n=1000, rho=rho, seed=3), "cise",
-                        cfg, specs, reps=3)
+                        cfg, reps=3)
         assert report.n_failed == 0
         assert report.mean_coverage >= 0.85
 
@@ -162,11 +159,8 @@ def test_coverage_monotone_in_miscoverage_budget():
     # a smaller total budget alpha + gamma is more conservative: matched
     # seeds, coverage must not drop by more than Monte Carlo noise
     dgp = DgpSpec(kind="dgp1", n=800, seed=42)
-    specs = RoleSpecs.uniform("glm", seed=42)
-    wide = run_mc(dgp, "cise", ConformalConfig(alpha=0.05, gamma=0.05, seed=42),
-                  specs, reps=5)
-    tight = run_mc(dgp, "cise", ConformalConfig(alpha=0.01, gamma=0.01, seed=42),
-                   specs, reps=5)
+    wide = run_mc(dgp, "cise", ConformalConfig(alpha=0.05, gamma=0.05, seed=42), reps=5)
+    tight = run_mc(dgp, "cise", ConformalConfig(alpha=0.01, gamma=0.01, seed=42), reps=5)
     assert tight.mean_coverage >= wide.mean_coverage - 0.05
 
 
@@ -175,7 +169,7 @@ def test_run_mc_dgp1_glm_coverage_and_length_band():
     # the oracle constant and three times it
     dgp = DgpSpec(kind="dgp1", n=1000, rho=0.0, seed=20260810)
     cfg = ConformalConfig(alpha=0.025, gamma=0.025, seed=20260810)
-    report = run_mc(dgp, "cise", cfg, RoleSpecs.uniform("glm", seed=1), reps=25)
+    report = run_mc(dgp, "cise", cfg, reps=25)
     assert report.mean_coverage >= 0.90
     assert 5.5436 <= report.mean_length <= 3 * 5.5436
 
@@ -183,9 +177,8 @@ def test_run_mc_dgp1_glm_coverage_and_length_band():
 def test_run_mc_parallel_matches_serial():
     dgp = DgpSpec(kind="dgp1", n=500, seed=11)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=11)
-    specs = RoleSpecs.uniform("glm", seed=11)
-    serial = run_mc(dgp, "cise", cfg, specs, reps=4, workers=1)
-    parallel = run_mc(dgp, "cise", cfg, specs, reps=4, workers=2)
+    serial = run_mc(dgp, "cise", cfg, reps=4, workers=1)
+    parallel = run_mc(dgp, "cise", cfg, reps=4, workers=2)
     for rs, rp in zip(serial.reps, parallel.reps):
         assert rs == rp
 
@@ -199,8 +192,7 @@ def test_run_mc_programming_error_escapes(monkeypatch):
 
     monkeypatch.setattr(simulation, "run_method", broken)
     with pytest.raises(TypeError, match="a bug"):
-        run_mc(DgpSpec(kind="dgp1", n=200, seed=0), "cise", ConformalConfig(),
-               RoleSpecs.uniform("glm"), reps=5)
+        run_mc(DgpSpec(kind="dgp1", n=200, seed=0), "cise", ConformalConfig(), reps=5)
 
 
 def test_run_replicates_error_taxonomy(monkeypatch):
@@ -213,15 +205,15 @@ def test_run_replicates_error_taxonomy(monkeypatch):
         return run
 
     dgp = DgpSpec(kind="dgp1", n=200, seed=0)
-    cfg, specs = ConformalConfig(), RoleSpecs.uniform("glm")
+    cfg = ConformalConfig()
     monkeypatch.setattr(simulation, "run_method", failing(InsufficientDataError("few rows")))
     with pytest.raises(RuntimeError, match=r"5/5 replicates failed; first errors: "
                                            r"\['rep 0: InsufficientDataError: few rows'"):
-        simulation.run_replicates(dgp, "cise", cfg, specs, reps=5,
+        simulation.run_replicates(dgp, "cise", cfg, reps=5,
                                    summarize=simulation._rep_record)
     monkeypatch.setattr(simulation, "run_method", failing(DataValidationError("bad column")))
     with pytest.raises(DataValidationError, match="bad column"):
-        simulation.run_replicates(dgp, "cise", cfg, specs, reps=5,
+        simulation.run_replicates(dgp, "cise", cfg, reps=5,
                                    summarize=simulation._rep_record)
 
 
@@ -230,15 +222,14 @@ def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
 
     run_method = simulation.run_method
 
-    def fail_rep_two(ds, method, cfg, specs):
+    def fail_rep_two(ds, method, cfg):
         if cfg.seed == child_seed(9, 2):
             raise RuntimeError("singular system")
-        return run_method(ds, method, cfg, specs)
+        return run_method(ds, method, cfg)
 
     monkeypatch.setattr(simulation, "run_method", fail_rep_two)
     report = run_mc(DgpSpec(kind="dgp1", n=500, seed=9), "cise",
-                    ConformalConfig(alpha=0.1, gamma=0.1, seed=9),
-                    RoleSpecs.uniform("glm", seed=9), reps=5)
+                    ConformalConfig(alpha=0.1, gamma=0.1, seed=9), reps=5)
     assert report.n_failed == 1
     assert report.reps[2].error == "RuntimeError: singular system"
     assert report.reps[2].coverage is None
