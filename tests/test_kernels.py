@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from attrition_conformal import kernels
 from attrition_conformal.forest import MAX_DEPTH, MIN_LEAF, N_TREES, fit_forest
@@ -57,8 +56,6 @@ def test_forest_quantiles_bracket_mean():
     assert (lo <= mean).mean() > 0.9 and (mean <= hi).mean() > 0.9
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                    reason="numba is not installed; both runs take the numpy path")
 def test_numpy_fallback_path_matches_numba_exactly():
     """Run the same fit in a subprocess with the kernels env flag set and
     compare every prediction bitwise."""
