@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,37 +15,41 @@ from .rng import child_seed, make_rng
 N_TREES = 200
 MAX_DEPTH = 8
 MIN_LEAF = 5
+# bootstrap rows grown together; bounds the grower's working arrays
+BLOCK_ROWS = 1 << 18
 
 
 @dataclass
 class FittedForest:
-    """Stacked per-tree arrays plus leaf-grouped targets for quantile pooling."""
+    """Stacked per-tree arrays plus leaf-grouped targets for quantile pooling.
 
-    features: np.ndarray    # (T, max_nodes) split feature, -1 at leaves
-    thresholds: np.ndarray  # (T, max_nodes)
-    lefts: np.ndarray       # (T, max_nodes)
-    rights: np.ndarray      # (T, max_nodes)
-    values: np.ndarray      # (T, max_nodes) node means
+    The node arrays are as wide as the forest's largest tree; a tree's
+    unused columns hold leaf defaults.
+    """
+
+    features: np.ndarray    # (T, width) int32 split feature, -1 at leaves
+    thresholds: np.ndarray  # (T, width)
+    lefts: np.ndarray       # (T, width) int32
+    rights: np.ndarray      # (T, width) int32
+    values: np.ndarray      # (T, width) node means
     grouped_targets: np.ndarray  # (T * n,) fitting targets ordered by leaf per tree
-    leaf_start: np.ndarray  # (T, max_nodes) offsets into grouped_targets
-    leaf_count: np.ndarray  # (T, max_nodes)
+    leaf_start: np.ndarray  # (T, width) int32 offsets into grouped_targets
+    leaf_count: np.ndarray  # (T, width) int32
     n_fit: int
     k: int
 
-    def _flat(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+    def _matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         if x.shape[1] != self.k:
             raise ValueError(f"expected {self.k} features, got {x.shape[1]}")
-        return x.reshape(-1), x.shape[0]
+        return x
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
-        x_flat, n = self._flat(x)
-        return kernels.forest_mean(x_flat, n, self.k, self.features, self.thresholds,
+        return kernels.forest_mean(self._matrix(x), self.features, self.thresholds,
                                    self.lefts, self.rights, self.values)
 
     def predict_quantiles(self, x: np.ndarray, q_lo: float, q_hi: float) -> tuple[np.ndarray, np.ndarray]:
-        x_flat, n = self._flat(x)
-        leaf_mat = kernels.forest_leaf_matrix(x_flat, n, self.k, self.features,
+        leaf_mat = kernels.forest_leaf_matrix(self._matrix(x), self.features,
                                               self.thresholds, self.lefts, self.rights)
         buf = np.empty(self.n_fit * self.features.shape[0], np.float64)
         return kernels.forest_pooled_quantiles(leaf_mat, self.grouped_targets,
@@ -57,7 +62,8 @@ def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:
 
     Tree t draws its bootstrap sample and feature-subsample stream from
     ``child_seed(seed, t)``, so results do not depend on evaluation
-    order and are reproducible tree by tree.
+    order and are reproducible tree by tree.  Trees are grown in blocks of
+    at most ``BLOCK_ROWS`` bootstrap rows.
     """
     x = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
@@ -66,37 +72,46 @@ def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:
         raise ValueError("y must be a vector matching x rows")
     if n < 1:
         raise ValueError("empty fitting sample")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("forest covariates and targets must be finite")
+    if N_TREES * n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} fitting rows exceed the forest's int32 leaf offsets")
 
-    mtry = max(1, min(k, int(round(np.sqrt(k) / k * k))))
+    mtry = max(1, round(math.sqrt(k)))
     max_nodes = 2 ** (MAX_DEPTH + 1)
     T = N_TREES
 
-    features = np.full((T, max_nodes), -1, np.int64)
+    features = np.full((T, max_nodes), -1, np.int32)
     thresholds = np.zeros((T, max_nodes), np.float64)
-    lefts = np.full((T, max_nodes), -1, np.int64)
-    rights = np.full((T, max_nodes), -1, np.int64)
+    lefts = np.full((T, max_nodes), -1, np.int32)
+    rights = np.full((T, max_nodes), -1, np.int32)
     values = np.zeros((T, max_nodes), np.float64)
     grouped = np.empty(T * n, np.float64)
-    leaf_start = np.zeros((T, max_nodes), np.int64)
-    leaf_count = np.zeros((T, max_nodes), np.int64)
+    leaf_start = np.zeros((T, max_nodes), np.int32)
+    leaf_count = np.zeros((T, max_nodes), np.int32)
 
-    leaf_id = np.empty(n, np.int64)
-    for t in range(T):
-        rng = make_rng(child_seed(seed, t))
-        boot = rng.integers(0, n, size=n)
-        feat_rand = rng.random(max_nodes * mtry)
-        xb = np.ascontiguousarray(x[boot])
-        yb = y[boot]
-        kernels.grow_tree(xb, yb, MAX_DEPTH, MIN_LEAF, mtry, feat_rand,
-                          features[t], thresholds[t], lefts[t], rights[t], values[t],
-                          leaf_id)
-        order = np.argsort(leaf_id, kind="stable")
-        grouped[t * n:(t + 1) * n] = yb[order]
-        leaves, counts = np.unique(leaf_id, return_counts=True)
-        starts = t * n + np.concatenate(([0], np.cumsum(counts)[:-1]))
-        leaf_start[t, leaves] = starts
-        leaf_count[t, leaves] = counts
+    n_nodes = np.empty(T, np.int64)
+    n_blocks = -(-T // max(1, BLOCK_ROWS // n))
+    per_block = -(-T // n_blocks)  # blocks of equal size
+    for t0 in range(0, T, per_block):
+        block = range(t0, min(T, t0 + per_block))
+        boot = np.empty((len(block), n), np.int64)
+        feat_rand = np.empty((len(block), max_nodes * mtry))
+        for b, t in enumerate(block):
+            rng = make_rng(child_seed(seed, t))
+            boot[b] = rng.integers(0, n, size=n)
+            feat_rand[b] = rng.random(max_nodes * mtry)
+        rows = slice(t0, block.stop)
+        n_nodes[rows] = kernels.grow_tree(
+            x, y, boot, feat_rand, MAX_DEPTH, MIN_LEAF, mtry, features[rows],
+            thresholds[rows], lefts[rows], rights[rows], values[rows],
+            leaf_start[rows], leaf_count[rows], grouped[t0 * n:block.stop * n])
+        leaf_start[rows] += np.where(leaf_count[rows] > 0, t0 * n, 0).astype(np.int32)
 
+    width = int(n_nodes.max())
+    features, thresholds, lefts, rights, values, leaf_start, leaf_count = (
+        np.ascontiguousarray(a[:, :width]) for a in
+        (features, thresholds, lefts, rights, values, leaf_start, leaf_count))
     return FittedForest(features=features, thresholds=thresholds, lefts=lefts,
                         rights=rights, values=values, grouped_targets=grouped,
                         leaf_start=leaf_start, leaf_count=leaf_count, n_fit=n, k=k)

@@ -1,10 +1,18 @@
-"""Hot numeric kernels behind the tree learners.
+"""Numeric kernels behind the tree learners.
 
-Each kernel is written once against the numpy array API.  When numba is
-installed (the optional ``jit`` extra) the kernels are compiled with
-``@njit``; without it, or with ``ATTRITION_CONFORMAL_NO_NUMBA=1`` set before
-import, they run as plain numpy.  Both paths execute the same code, so their
-outputs are identical.
+Tree growth and leaf routing are plain numpy.  ``grow_tree`` grows a block
+of trees in lockstep: each step pops one node from every tree's own
+depth-first stack and scores all of the popped nodes together.  Every tree
+keeps the node numbering of a one-tree-at-a-time depth-first grower, so
+node ``i`` draws its candidate features from the same uniforms and the
+fitted trees are the same bit for bit.  ``apply_tree`` routes rows through
+every tree at once.
+
+Only the pooled-quantile kernels go through ``_jit``: with numba installed
+(the optional ``jit`` extra) they are compiled with ``@njit``; without it,
+or with ``ATTRITION_CONFORMAL_NO_NUMBA=1`` set before import, they run as
+plain numpy.  Both paths execute the same code, so their outputs are
+identical.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ except ImportError:  # pragma: no cover
 
 USE_NUMBA = HAVE_NUMBA and os.environ.get(NUMBA_ENV_FLAG, "") not in ("1", "true", "yes")
 
+# rows routed through all trees at once; bounds the (n_trees, rows) temporaries
+ROUTE_ROWS = 2048
+# segments of up to 2**_MIN_WIDTH_BITS rows share one padded width
+_MIN_WIDTH_BITS = 5
+# padded cells scored at once; bounds the split search's temporaries
+_SCORE_CELLS = 1 << 16
+
 
 def _jit(func):
     if USE_NUMBA:
@@ -32,146 +47,252 @@ def _jit(func):
     return func
 
 
-def _grow_tree_impl(x, y, max_depth, min_leaf, mtry, feat_rand,
-                    feature, threshold, left, right, value, leaf_id):
-    """Grow one CART regression tree; returns the number of nodes used.
+def _ragged(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + l)`` over the (start, length) pairs."""
+    ends = np.cumsum(length)
+    return np.repeat(start - (ends - length), length) + np.arange(ends[-1] if ends.size else 0)
 
-    ``x``/``y`` are the (bootstrap) fitting sample.  Split search maximizes
-    the variance reduction over ``mtry`` features drawn per node from the
-    pre-filled uniform stream ``feat_rand`` (a partial Fisher-Yates draw per
-    node, indexed by node id).  Thresholds equal the largest left-child
-    value with the rule "x <= threshold goes left", so partitions are exact
-    in floating point.  ``leaf_id`` receives the leaf index of every
-    fitting row.
+
+def _partition(layers, goes_left, start, length, n_left):
+    """Stable partition of the segments ``[start, start + length)`` of every
+    layer, rows flagged in ``goes_left`` first.  Every layer holds the same
+    rows in a segment, so each has ``n_left`` of them going left."""
+    at = _ragged(start, length)
+    to_left = _ragged(start, n_left)
+    to_right = _ragged(start + n_left, length - n_left)
+    for lay in layers:  # a layer at a time stays in cache
+        moved = lay[at]
+        is_left = goes_left[moved]
+        lay[to_left] = moved[is_left]
+        lay[to_right] = moved[~is_left]
+
+
+def _draw_features(feat_rand, n_slots, n_try, k):
+    """Candidate features of nodes 0 .. n_slots - 1 of every tree, shape
+    (n_trees, n_slots, n_try): node i's partial Fisher-Yates draw uses the
+    uniforms ``feat_rand[:, i * n_try:(i + 1) * n_try]``."""
+    u = feat_rand[:, :n_slots * n_try].reshape(-1, n_try)
+    ids = np.tile(np.arange(k, dtype=np.int32), (u.shape[0], 1))
+    r = np.arange(u.shape[0])
+    for t in range(n_try):
+        j = np.minimum(t + (u[:, t] * (k - t)).astype(np.int64), k - 1)
+        ids[r, t], ids[r, j] = ids[r, j], ids[r, t]
+    return ids[:, :n_try].astype(np.int64).reshape(feat_rand.shape[0], n_slots, n_try)
+
+
+def grow_tree(x, y, boot, feat_rand, max_depth, min_leaf, mtry,
+              feature, threshold, left, right, value, leaf_start, leaf_count, grouped):
+    """Grow one CART regression tree per row of ``boot``, all in lockstep.
+
+    Tree b fits ``x[boot[b]]``, ``y[boot[b]]``.  Split search maximizes the
+    variance reduction over ``mtry`` features drawn per node from
+    ``feat_rand[b]`` (a partial Fisher-Yates draw per node, indexed by node
+    id).  Thresholds equal the largest left-child value with the rule
+    "x <= threshold goes left", so partitions are exact in floating point.
+
+    Row b of the node arrays (``feature`` ... ``leaf_count``) arrives filled
+    with leaf defaults and receives tree b.  ``grouped`` receives each
+    tree's targets ordered by leaf id, then by row, and ``leaf_start`` /
+    ``leaf_count`` index into it.  Returns each tree's node count.
+
+    Every feature's row order is sorted once per block and kept within
+    each node by stable partitions.  Prefix sums of the targets run
+    sequentially within each node, as a one-tree grower's ``cumsum`` does:
+    nodes of similar size are padded into the rows of one 2-D array.
     """
-    n, k = x.shape
-    idx = np.arange(n)
-    max_nodes = feature.shape[0]
+    n_trees, n = boot.shape
+    k = x.shape[1]
+    n_try = min(mtry, k)
+    max_nodes = feature.shape[1]
+    n_rows = n_trees * n  # block rows: tree b holds rows b*n .. b*n + n - 1
+    flat_boot = boot.ravel()
+    yb = y[flat_boot]
 
-    stack_node = np.empty(max_nodes, np.int64)
-    stack_start = np.empty(max_nodes, np.int64)
-    stack_end = np.empty(max_nodes, np.int64)
-    stack_depth = np.empty(max_nodes, np.int64)
-    feat_ids = np.empty(k, np.int64)
+    # order[0] holds each node's rows in row order, order[1 + f] sorted by
+    # feature f (ties in row order); dense ranks decide every comparison.
+    # Each layer is padded by n rows, so a node's padded width stays inside.
+    stride = n_rows + n
+    rank = np.empty((k, n_rows), np.int32)
+    order = np.zeros((k + 1, stride), np.int32)
+    order[0, :n_rows] = np.arange(n_rows)
+    tree_base = np.arange(n_trees)[:, None] * n
+    pos = np.arange(n)
+    for f in range(k):
+        r = np.unique(x[:, f], return_inverse=True)[1][boot]
+        rank[f] = r.ravel()
+        key = r * n + pos
+        key.sort(axis=1)
+        order[f + 1, :n_rows] = (key % n + tree_base).ravel()
+    order_flat, rank_flat = order.ravel(), rank.ravel()
 
-    stack_node[0] = 0
-    stack_start[0] = 0
-    stack_end[0] = n
-    stack_depth[0] = 0
-    top = 1
-    n_nodes = 1
-    n_try = mtry if mtry < k else k
+    # a tree of n rows has at most n // min_leaf leaves, so fewer nodes than
+    # 2 * (n // min_leaf)
+    drawn = _draw_features(feat_rand, min(max_nodes, max(1, 2 * (n // min_leaf))), n_try, k)
 
-    while top > 0:
-        top -= 1
-        node = stack_node[top]
-        s = stack_start[top]
-        e = stack_end[top]
-        depth = stack_depth[top]
+    # a depth-first stack per tree: (node, start, end, depth) entries
+    stack = np.empty((n_trees, max_depth + 1, 4), np.int64)
+    stack[:, 0] = (0, 0, n, 0)
+    top = np.ones(n_trees, np.int64)
+    n_nodes = np.ones(n_trees, np.int64)
+    goes_left = np.zeros(n_rows, bool)
+    leaves = []
+
+    while True:
+        act = np.flatnonzero(top)
+        if act.size == 0:
+            break
+        top[act] -= 1
+        node, s, e, depth = stack[act, top[act]].T
         m = e - s
+        start = act * n + s
+        a = act.size
 
-        sub = idx[s:e].copy()
-        ysub = y[sub]
-        # cumsum is sequential in both numpy and numba; .sum() is not, and the
-        # two paths must agree bit for bit.
-        total = np.cumsum(ysub)[m - 1]
-        value[node] = total / m
-        feature[node] = -1
-        threshold[node] = 0.0
-        left[node] = -1
-        right[node] = -1
+        can = (depth < max_depth) & (m >= 2 * min_leaf) & (n_nodes[act] + 2 <= max_nodes)
+        feats = drawn[act, node]
 
-        can_split = depth < max_depth and m >= 2 * min_leaf and n_nodes + 2 <= max_nodes
-        best_feat = -1
-        best_thr = 0.0
-        if can_split:
-            parent_term = total * total / m
-            best_gain = parent_term + 1e-12 * (1.0 + np.abs(parent_term))
-            base = node * n_try
-            for j in range(k):
-                feat_ids[j] = j
-            for t in range(n_try):
-                u = feat_rand[base + t]
-                j = t + int(u * (k - t))
-                if j > k - 1:
-                    j = k - 1
-                tmp = feat_ids[t]
-                feat_ids[t] = feat_ids[j]
-                feat_ids[j] = tmp
+        total = np.empty(a)
+        best_feat = np.full(a, -1, np.int64)
+        best_thr = np.zeros(a)
+        n_left = np.zeros(a, np.int64)
+        width_class = np.maximum(np.frexp(m - 1)[1], _MIN_WIDTH_BITS)
+        batches = []
+        for cls in np.unique(width_class):
+            members = np.flatnonzero(width_class == cls)
+            width = int(m[members].max())
+            per_batch = max(1, _SCORE_CELLS // ((1 + n_try) * width))
+            batches += [(members[i:i + per_batch], width)
+                        for i in range(0, members.size, per_batch)]
+        for sel, width in batches:
+            spl = sel[can[sel]]
+            # one padded row per (node, layer): layer 0 for every node, then
+            # the drawn features of the splittable ones
+            seg = np.concatenate((sel, np.repeat(spl, n_try)))
+            layer = np.concatenate((np.zeros(sel.size, np.int64), feats[spl].ravel() + 1))
+            col = np.arange(width)
+            rows = order_flat[(layer * stride + start[seg])[:, None] + col]
+            # a padded row runs on into other nodes' rows; the sums are
+            # sequential, so its first m entries are the node's own prefix sums
+            cum = np.cumsum(yb[rows], axis=1)
+            total[sel] = cum[np.arange(sel.size), m[sel] - 1]
+            if spl.size == 0:
+                continue
+
+            # left child sizes p = lo .. width - lo; sorted position p - 1 is
+            # the threshold row
             lo = min_leaf
-            hi = m - min_leaf
-            for t in range(n_try):
-                f = feat_ids[t]
-                col = x[:, f]
-                vals = col[sub]
-                order = np.argsort(vals, kind="mergesort")
-                vs = vals[order]
-                ys = ysub[order]
-                prefix = np.cumsum(ys)
-                boundary = vs[lo:hi + 1] > vs[lo - 1:hi]
-                sl = prefix[lo - 1:hi]
-                p = np.arange(lo, hi + 1).astype(np.float64)
-                gains = sl * sl / p + (total - sl) * (total - sl) / (m - p)
-                gains = np.where(boundary, gains, -np.inf)
-                b = int(np.argmax(gains))
-                g = gains[b]
-                if g > best_gain:
-                    best_gain = g
-                    best_feat = f
-                    best_thr = vs[lo + b - 1]
+            ms = m[spl]
+            tot = total[spl]
+            rows_f = rows[sel.size:].reshape(spl.size, n_try, width)
+            sl = cum[sel.size:, lo - 1:width - lo].reshape(spl.size, n_try, -1)
+            p = np.arange(lo, width - lo + 1).astype(np.float64)
+            tt = tot[:, None, None]
+            with np.errstate(all="ignore"):  # columns past a node's end
+                # sl * sl / p + (total - sl) * (total - sl) / (m - p), in place
+                gains = sl * sl
+                gains /= p
+                right_term = tt - sl
+                right_term *= right_term
+                right_term /= ms[:, None, None] - p
+                gains += right_term
+            rk = rank_flat[feats[spl][:, :, None] * n_rows + rows_f[:, :, lo - 1:width - lo + 1]]
+            ok = rk[:, :, 1:] > rk[:, :, :-1]
+            ok &= p <= (ms - lo)[:, None, None]
+            gains[~ok] = -np.inf
+            b = gains.argmax(axis=2)
+            g = gains.max(axis=2)
+            t = g.argmax(axis=1)
+            r = np.arange(spl.size)
+            parent_term = tot * tot / ms
+            win = g[r, t] > parent_term + 1e-12 * (1.0 + np.abs(parent_term))
+            if not win.any():
+                continue
+            w, rw, tw = spl[win], r[win], t[win]
+            cut = lo - 1 + b[rw, tw]
+            thr_rows = rows_f[rw, tw]
+            best_feat[w] = feats[w, tw]
+            best_thr[w] = x[flat_boot[thr_rows[np.arange(w.size), cut]], best_feat[w]]
+            n_left[w] = cut + 1
+            goes_left[thr_rows[col <= cut[:, None]]] = True
 
-        if best_feat < 0:
-            for i in range(s, e):
-                leaf_id[idx[i]] = node
+        value[act, node] = total / m
+        leaf = best_feat < 0
+        leaves.append((act[leaf], node[leaf], start[leaf], m[leaf]))
+        split = np.flatnonzero(~leaf)
+        if split.size == 0:
             continue
 
-        colf = x[:, best_feat]
-        mask = colf[sub] <= best_thr
-        idx[s:e] = np.concatenate((sub[mask], sub[~mask]))
-        nl = int(mask.sum())
+        tree = act[split]
+        lnode = n_nodes[tree]
+        n_nodes[tree] += 2
+        sn = node[split]
+        feature[tree, sn] = best_feat[split]
+        threshold[tree, sn] = best_thr[split]
+        left[tree, sn] = lnode
+        right[tree, sn] = lnode + 1
+        ss, se, nl, d1 = s[split], e[split], n_left[split], depth[split] + 1
+        sp = top[tree]
+        stack[tree, sp] = np.stack((lnode + 1, ss + nl, se, d1), axis=1)
+        stack[tree, sp + 1] = np.stack((lnode, ss, ss + nl, d1), axis=1)
+        top[tree] += 2
 
-        lnode = n_nodes
-        rnode = n_nodes + 1
-        n_nodes += 2
-        feature[node] = best_feat
-        threshold[node] = best_thr
-        left[node] = lnode
-        right[node] = rnode
+        seg_start, seg_len = start[split], m[split]
+        _partition(order[:1], goes_left, seg_start, seg_len, nl)
+        # only a child that may split again reads the feature layers
+        again = (d1 < max_depth) & (np.maximum(nl, seg_len - nl) >= 2 * min_leaf)
+        _partition(order[1:], goes_left, seg_start[again], seg_len[again], nl[again])
+        goes_left[order[0, _ragged(seg_start, seg_len)]] = False
 
-        stack_node[top] = rnode
-        stack_start[top] = s + nl
-        stack_end[top] = e
-        stack_depth[top] = depth + 1
-        top += 1
-        stack_node[top] = lnode
-        stack_start[top] = s
-        stack_end[top] = s + nl
-        stack_depth[top] = depth + 1
-        top += 1
-
+    tree, node, seg_start, seg_len = (np.concatenate(c) for c in zip(*leaves))
+    by_id = np.lexsort((node, tree))
+    tree, node, seg_start, seg_len = tree[by_id], node[by_id], seg_start[by_id], seg_len[by_id]
+    leaf_count[tree, node] = seg_len
+    leaf_start[tree, node] = np.cumsum(seg_len) - seg_len
+    grouped[:] = yb[order[0, _ragged(seg_start, seg_len)]]
     return n_nodes
 
 
-grow_tree = _jit(_grow_tree_impl)
+def apply_tree(x, features, thresholds, lefts, rights):
+    """Leaf id of every row of ``x`` in every tree: shape (n_trees, n)."""
+    n_trees, width = features.shape
+    n, k = x.shape
+    base = np.arange(n_trees)[:, None] * width
+    feat, thr = features.ravel(), thresholds.ravel()
+    left, right = lefts.ravel(), rights.ravel()
+    x_flat = x.ravel()
+    row = np.arange(n) * k
+    cell = np.repeat(base, n, axis=1)  # flat position of each row's current node
+    while True:
+        f = feat[cell]
+        inner = f >= 0
+        if not inner.any():
+            return cell - base
+        go_left = x_flat[row + np.maximum(f, 0)] <= thr[cell]
+        nxt = np.where(go_left, left[cell], right[cell])
+        cell = np.where(inner, base + nxt, cell)
 
 
-def _apply_tree_impl(x_flat, n, k, feature, threshold, left, right):
-    """Route ``n`` rows (features flattened in C order) to their leaf ids."""
-    rows = np.arange(n) * k
-    node = np.zeros(n, np.int64)
-    active = feature[node] >= 0
-    while active.any():
-        f = feature[node]
-        fsafe = np.where(f >= 0, f, 0)
-        vals = x_flat[rows + fsafe]
-        go_left = vals <= threshold[node]
-        nxt = np.where(go_left, left[node], right[node])
-        node = np.where(active, nxt, node)
-        active = feature[node] >= 0
-    return node
+def forest_mean(x, features, thresholds, lefts, rights, values):
+    """Average of per-tree leaf means, summed in tree order."""
+    n_trees = features.shape[0]
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], ROUTE_ROWS):
+        chunk = x[lo:lo + ROUTE_ROWS]
+        leaf_values = np.take_along_axis(values, apply_tree(chunk, features, thresholds,
+                                                            lefts, rights), axis=1)
+        acc = np.zeros(chunk.shape[0])
+        for t in range(n_trees):
+            acc += leaf_values[t]
+        out[lo:lo + ROUTE_ROWS] = acc / n_trees
+    return out
 
 
-apply_tree = _jit(_apply_tree_impl)
+def forest_leaf_matrix(x, features, thresholds, lefts, rights):
+    """Per-tree leaf id of every row: shape (n, n_trees)."""
+    out = np.empty((x.shape[0], features.shape[0]), np.int32)
+    for lo in range(0, x.shape[0], ROUTE_ROWS):
+        out[lo:lo + ROUTE_ROWS] = apply_tree(x[lo:lo + ROUTE_ROWS], features, thresholds,
+                                             lefts, rights).T
+    return out
 
 
 def _quantile_sorted_impl(a, m, q):
@@ -187,31 +308,6 @@ def _quantile_sorted_impl(a, m, q):
 
 
 quantile_sorted = _jit(_quantile_sorted_impl)
-
-
-def _forest_mean_impl(x_flat, n, k, features, thresholds, lefts, rights, values):
-    """Average of per-tree leaf means; trees are the rows of the stacked arrays."""
-    n_trees = features.shape[0]
-    acc = np.zeros(n, np.float64)
-    for t in range(n_trees):
-        leaves = apply_tree(x_flat, n, k, features[t], thresholds[t], lefts[t], rights[t])
-        acc += values[t][leaves]
-    return acc / n_trees
-
-
-forest_mean = _jit(_forest_mean_impl)
-
-
-def _forest_leaf_matrix_impl(x_flat, n, k, features, thresholds, lefts, rights):
-    """Per-tree leaf id of every row: shape (n, n_trees)."""
-    n_trees = features.shape[0]
-    out = np.empty((n, n_trees), np.int64)
-    for t in range(n_trees):
-        out[:, t] = apply_tree(x_flat, n, k, features[t], thresholds[t], lefts[t], rights[t])
-    return out
-
-
-forest_leaf_matrix = _jit(_forest_leaf_matrix_impl)
 
 
 def _forest_pooled_quantiles_impl(leaf_mat, grouped_targets, leaf_start, leaf_count,

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
-from attrition_conformal.conformal import (ScoreSet, cqr_score,
+from attrition_conformal.conformal import (_CUM_EPS, ScoreSet, _weighted_quantiles, cqr_score,
                                            interval_score,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
@@ -88,6 +89,39 @@ def test_weighted_quantile_matches_enumeration_oracle():
         level = float(rng.uniform(0.05, 0.99))
         ss = ScoreSet(scores=scores, weights=weights, test_weight=tw)
         assert weighted_quantile(ss, level) == _enumeration_oracle(scores, weights, tw, level)
+
+
+def _brute_force_quantile(scores, weights, test_weight, level):
+    """Smallest score whose total weight at or below it reaches ``level`` of
+    all the mass, the test weight included; +inf if none does."""
+    total = weights.sum() + test_weight
+    if total <= 0:
+        return math.inf
+    for v in sorted(set(scores.tolist())):
+        if weights[scores <= v].sum() >= level * total - _CUM_EPS * total:
+            return v
+    return math.inf
+
+
+# weights are multiples of 1/4, so every partial sum is exact
+_quarters = st.integers(0, 12).map(lambda q: q / 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(-4, 4).map(lambda v: v / 2), _quarters),
+                      min_size=1, max_size=25),
+       test_weights=st.lists(_quarters, min_size=1, max_size=4).map(lambda w: w + [0.0]),
+       level=st.one_of(st.floats(1e-15, 1e-3), st.floats(1e-3, 1 - 1e-3),
+                       st.floats(1 - 1e-3, 1 - 1e-15)))
+def test_weighted_quantiles_match_brute_force(pairs, test_weights, level):
+    """Ties, zero weights, a zero test weight and levels near 0 and 1."""
+    scores = np.array([s for s, _ in pairs])
+    weights = np.array([w for _, w in pairs])
+    order = np.argsort(scores, kind="stable")
+    got = _weighted_quantiles(scores[order], np.cumsum(weights[order]),
+                              np.array(test_weights), level)
+    want = [_brute_force_quantile(scores, weights, tw, level) for tw in test_weights]
+    assert got.tolist() == want
 
 
 def test_weighted_quantile_monotone_in_level():
