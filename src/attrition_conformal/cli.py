@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from .data import LEARNERS, ConformalConfig, DataValidationError, InsufficientDataError
 from .io import (ColumnMapping, RunManifest, digest_of, dump_json, file_digest,
-                 load_csv, mc_report_dict, now_iso, write_mc_long_csv)
+                 load_csv, mc_report_dict, now_iso, read_json_object, write_mc_long_csv)
 from .pipelines import aggregate_ate, diff_in_means, ipw_ate
 from .simulation import METHODS, DgpSpec, run_mc, run_replicates
 
@@ -32,6 +31,18 @@ def _workers(args, parser) -> int:
         return max(1, int(env))
     except ValueError:
         parser.error(f"{WORKERS_ENV} must be an integer, got {env!r}")
+
+
+def _run_config(args, parser) -> ConformalConfig:
+    """The run configuration; an out-of-range ``--reps``, ``--alpha`` or
+    ``--gamma`` is a usage error, found before any replicate runs."""
+    if args.reps < 1:
+        parser.error(f"--reps must be at least 1, got {args.reps}")
+    try:
+        return ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
+                               learner=args.learner)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,16 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args, parser) -> int:
     if args.dgp == "appendixE" and args.rho is not None:
         parser.error("--rho does not apply to the appendixE DGP")
-    if args.dgp != "appendixE" and args.missingness != "MAR":
-        parser.error("--missingness applies to the appendixE DGP only")
     rho = args.rho if args.rho is not None else 0.0
+    try:
+        dgp = DgpSpec(kind=args.dgp, n=args.n, rho=rho, missingness=args.missingness,
+                      seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    cfg = _run_config(args, parser)
     started = now_iso()
     t0 = time.time()
-
-    dgp = DgpSpec(kind=args.dgp, n=args.n, rho=rho, missingness=args.missingness,
-                  seed=args.seed)
-    cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
-                          learner=args.learner)
     report = run_mc(dgp, args.method, cfg, reps=args.reps, workers=_workers(args, parser))
 
     out = Path(args.out)
@@ -119,12 +129,11 @@ def _attrition_intervals(rep, draw, result) -> tuple:
 
 
 def cmd_analyze(args, parser) -> int:
+    cfg = _run_config(args, parser)
     started = now_iso()
     t0 = time.time()
     mapping = ColumnMapping.from_json(args.mapping)
     ds = load_csv(args.data, mapping)
-    cfg = ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
-                          learner=args.learner)
 
     # replicates run in this process: --threads applies to simulate only
     replicates = run_replicates(ds, args.method, cfg, args.reps, _attrition_intervals)
@@ -181,31 +190,29 @@ def cmd_analyze(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    docs = []
-    for p in args.inputs:
-        with open(p, encoding="utf-8") as fh:
-            docs.append(json.load(fh))
     seen = {}
-    for doc in docs:
-        seen.setdefault(doc.get("run_digest", ""), doc)  # dedup by manifest digest
-    docs = list(seen.values())
-    levels = {(d["config"]["alpha"], d["config"]["gamma"]) for d in docs}
+    for path in args.inputs:
+        doc = read_json_object(path)
+        try:
+            agg, dgp, config = doc["aggregate"], doc["dgp"], doc["config"]
+            row = {
+                "method": doc["method"], "learner": doc.get("learner", ""),
+                "dgp": dgp["kind"], "n": dgp["n"], "rho": dgp["rho"],
+                "alpha": config["alpha"], "gamma": config["gamma"],
+                "coverage_mean": agg["mean_coverage"], "coverage_sd": agg["sd_coverage"],
+                "length_mean": agg["mean_length"], "length_sd": agg["sd_length"],
+                "n_reps": agg["n_reps"], "n_failed": agg["n_failed"],
+                "run_digest": doc.get("run_digest", ""),
+            }
+        except KeyError as exc:
+            raise DataValidationError(f"{path}: report is missing key {exc}") from None
+        seen.setdefault(row["run_digest"], row)  # dedup by manifest digest
+    rows = list(seen.values())
+    levels = {(r["alpha"], r["gamma"]) for r in rows}
     if len(levels) > 1 and not args.allow_mixed:
         raise DataValidationError(f"mixed nominal levels across inputs: {sorted(levels)}; "
                                   "pass --allow-mixed to merge anyway")
 
-    rows = []
-    for d in docs:
-        agg = d["aggregate"]
-        rows.append({
-            "method": d["method"], "learner": d.get("learner", ""),
-            "dgp": d["dgp"]["kind"], "n": d["dgp"]["n"], "rho": d["dgp"]["rho"],
-            "alpha": d["config"]["alpha"], "gamma": d["config"]["gamma"],
-            "coverage_mean": agg["mean_coverage"], "coverage_sd": agg["sd_coverage"],
-            "length_mean": agg["mean_length"], "length_sd": agg["sd_length"],
-            "n_reps": agg["n_reps"], "n_failed": agg["n_failed"],
-            "run_digest": d.get("run_digest", ""),
-        })
     rows.sort(key=lambda r: (r["method"], r["dgp"], r["n"], r["rho"], r["run_digest"]))
 
     out = Path(args.out)

@@ -35,7 +35,6 @@ class FittedForest:
     grouped_targets: np.ndarray  # (T * n,) fitting targets ordered by leaf per tree
     leaf_start: np.ndarray  # (T, width) int32 offsets into grouped_targets
     leaf_count: np.ndarray  # (T, width) int32
-    n_fit: int
     k: int
 
     def _matrix(self, x: np.ndarray) -> np.ndarray:
@@ -51,10 +50,9 @@ class FittedForest:
     def predict_quantiles(self, x: np.ndarray, q_lo: float, q_hi: float) -> tuple[np.ndarray, np.ndarray]:
         leaf_mat = kernels.forest_leaf_matrix(self._matrix(x), self.features,
                                               self.thresholds, self.lefts, self.rights)
-        buf = np.empty(self.n_fit * self.features.shape[0], np.float64)
         return kernels.forest_pooled_quantiles(leaf_mat, self.grouped_targets,
                                                self.leaf_start, self.leaf_count,
-                                               float(q_lo), float(q_hi), buf)
+                                               float(q_lo), float(q_hi))
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:
@@ -114,4 +112,4 @@ def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:
         (features, thresholds, lefts, rights, values, leaf_start, leaf_count))
     return FittedForest(features=features, thresholds=thresholds, lefts=lefts,
                         rights=rights, values=values, grouped_targets=grouped,
-                        leaf_start=leaf_start, leaf_count=leaf_count, n_fit=n, k=k)
+                        leaf_start=leaf_start, leaf_count=leaf_count, k=k)

@@ -38,17 +38,31 @@ class ColumnMapping:
 
     @classmethod
     def from_json(cls, path) -> "ColumnMapping":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json_object(path)
         try:
             return cls(outcome_col=raw["outcome"], treatment_col=raw["treatment"],
                        response_col=raw["response"], covariate_cols=raw["covariates"],
                        na_tokens=tuple(raw.get("na_tokens", ("", "NA"))))
         except KeyError as exc:
-            raise DataValidationError(f"mapping file is missing key {exc}") from exc
+            raise DataValidationError(f"{path}: mapping file is missing key {exc}") from exc
 
 
-def _parse_number(token: str, row: int, col: str) -> float:
+def read_json_object(path) -> dict:
+    """Parse a JSON file holding one object; malformed JSON or another top-level
+    value is a :class:`DataValidationError` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataValidationError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataValidationError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _parse_number(token: str | None, row: int, col: str) -> float:
+    if token is None:  # csv.DictReader's fill for a row with too few fields
+        raise DataValidationError(f"no value in column {col!r} at data row {row} (too few fields)")
     try:
         return float(token)
     except ValueError:

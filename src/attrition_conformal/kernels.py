@@ -1,50 +1,32 @@
-"""Numeric kernels behind the tree learners.
+"""Numeric kernels behind the tree learners, all plain numpy.
 
-Tree growth and leaf routing are plain numpy.  ``grow_tree`` grows a block
-of trees in lockstep: each step pops one node from every tree's own
-depth-first stack and scores all of the popped nodes together.  Every tree
-keeps the node numbering of a one-tree-at-a-time depth-first grower, so
-node ``i`` draws its candidate features from the same uniforms and the
-fitted trees are the same bit for bit.  ``apply_tree`` routes rows through
-every tree at once.
-
-Only the pooled-quantile kernels go through ``_jit``: with numba installed
-(the optional ``jit`` extra) they are compiled with ``@njit``; without it,
-or with ``ATTRITION_CONFORMAL_NO_NUMBA=1`` set before import, they run as
-plain numpy.  Both paths execute the same code, so their outputs are
-identical.
+``grow_tree`` grows a block of trees in lockstep: each step pops one node
+from every tree's own depth-first stack and scores all of the popped nodes
+together.  Every tree keeps the node numbering of a one-tree-at-a-time
+depth-first grower, so node ``i`` draws its candidate features from the
+same uniforms and the fitted trees are the same bit for bit.
+``apply_tree`` routes rows through every tree at once.
+``forest_pooled_quantiles`` counts each test point's pooled leaf targets
+per distinct value and reads the two order statistics of each quantile
+from the running counts, chunk by chunk, with the interpolation of sorting
+the pooled sample.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+# read by the benchmark's environment report; there is one kernel path
+HAVE_NUMBA = USE_NUMBA = False
 NUMBA_ENV_FLAG = "ATTRITION_CONFORMAL_NO_NUMBA"
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get(NUMBA_ENV_FLAG, "") not in ("1", "true", "yes")
 
 # rows routed through all trees at once; bounds the (n_trees, rows) temporaries
 ROUTE_ROWS = 2048
 # segments of up to 2**_MIN_WIDTH_BITS rows share one padded width
 _MIN_WIDTH_BITS = 5
-# padded cells scored at once; bounds the split search's temporaries
+# cells handled at once; bounds the temporaries of the split search and of
+# the pooled quantiles
 _SCORE_CELLS = 1 << 16
-
-
-def _jit(func):
-    if USE_NUMBA:
-        return numba.njit(cache=True)(func)
-    return func
 
 
 def _ragged(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -295,43 +277,39 @@ def forest_leaf_matrix(x, features, thresholds, lefts, rights):
     return out
 
 
-def _quantile_sorted_impl(a, m, q):
-    """Linearly interpolated empirical quantile of the first ``m`` sorted entries."""
-    if m == 1:
-        return a[0]
-    h = q * (m - 1)
-    i = int(h)
-    if i >= m - 1:
-        return a[m - 1]
-    frac = h - i
-    return a[i] + frac * (a[i + 1] - a[i])
-
-
-quantile_sorted = _jit(_quantile_sorted_impl)
-
-
-def _forest_pooled_quantiles_impl(leaf_mat, grouped_targets, leaf_start, leaf_count,
-                                  q_lo, q_hi, buf):
+def forest_pooled_quantiles(leaf_mat, grouped_targets, leaf_start, leaf_count, q_lo, q_hi):
     """Pool each test point's leaf targets across trees and take two quantiles.
 
     ``grouped_targets`` concatenates every tree's fitting targets ordered by
-    leaf; ``leaf_start``/``leaf_count`` index into it per (tree, leaf).
+    leaf; ``leaf_start``/``leaf_count`` index into it per (tree, leaf).  A
+    point's pooled sample is held as the count of each distinct target in
+    its leaves (Meinshausen's weight form).  Of its m entries, the order
+    statistics ``i = int(q * (m - 1))`` and ``i + 1`` are interpolated
+    linearly, as sorting the pooled sample would give them.
     """
     n, n_trees = leaf_mat.shape
-    lo = np.empty(n, np.float64)
-    hi = np.empty(n, np.float64)
-    for i in range(n):
-        pos = 0
-        for t in range(n_trees):
-            leaf = leaf_mat[i, t]
-            a = leaf_start[t, leaf]
-            c = leaf_count[t, leaf]
-            buf[pos:pos + c] = grouped_targets[a:a + c]
-            pos += c
-        pooled = np.sort(buf[:pos])
-        lo[i] = quantile_sorted(pooled, pos, q_lo)
-        hi[i] = quantile_sorted(pooled, pos, q_hi)
+    values, code = np.unique(grouped_targets, return_inverse=True)
+    n_values = values.size
+    cell = np.arange(n_trees, dtype=np.int32) * np.int32(leaf_start.shape[1])
+    starts, counts = leaf_start.ravel(), leaf_count.ravel()
+    # a point pools at most each tree's largest leaf; a chunk of points
+    # holds its pooled entries and its counts of every distinct target
+    step = max(1, _SCORE_CELLS // (int(leaf_count.max(axis=1).sum()) + n_values))
+    lo, hi = np.empty(n), np.empty(n)
+    for a in range(0, n, step):
+        at = leaf_mat[a:a + step] + cell
+        c = counts[at]
+        m = c.sum(axis=1)
+        base = np.arange(m.size) * n_values
+        pooled = code[_ragged(starts[at].ravel(), c.ravel())] + np.repeat(base, m)
+        # entries at or below each distinct target, counted on through the rows
+        cum = np.cumsum(np.bincount(pooled, minlength=m.size * n_values))
+        before = np.cumsum(m) - m
+        for q, out in ((q_lo, lo), (q_hi, hi)):
+            h = q * (m - 1)
+            i = h.astype(np.int64)
+            # each row's pooled entries i and i + 1 (the last one at most)
+            k = np.stack((i, np.minimum(i + 1, m - 1)))
+            below, above = values[np.searchsorted(cum, before + k, side="right") - base]
+            out[a:a + step] = np.where(i >= m - 1, above, below + (h - i) * (above - below))
     return lo, hi
-
-
-forest_pooled_quantiles = _jit(_forest_pooled_quantiles_impl)

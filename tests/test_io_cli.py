@@ -290,3 +290,88 @@ def test_exit_code_for_missing_data(tmp_path):
     rc = main(["analyze", "--data", str(tmp_path / "nope.csv"), "--map", str(map_path),
                "--method", "cise", "--out", str(tmp_path / "o")])
     assert rc == 3  # missing input is a data problem, not a numerical one
+
+
+def test_short_csv_row_is_data_error_naming_row_and_column(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text("x1,x2,d,r,y\n0.5,1.0,1,1,2.5\n0.3,0.4,0,1\n")
+    map_path = tmp_path / "map.json"
+    _write_mapping(map_path, ["x1", "x2"])
+    rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data row 1" in err and "'y'" in err
+
+
+SIMULATE = ["simulate", "--dgp", "dgp1", "--n", "300", "--reps", "2", "--method", "cise"]
+ANALYZE = ["analyze", "--data", "never-read.csv", "--map", "never-read.json",
+           "--method", "cise"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--reps", "0"],
+    SIMULATE + ["--n", "0"],
+    SIMULATE + ["--alpha", "1.5"],
+    SIMULATE + ["--gamma", "0"],
+    SIMULATE + ["--alpha", "0.6", "--gamma", "0.5"],
+    SIMULATE + ["--rho", "1.5"],
+    SIMULATE + ["--rho", "-0.1"],
+    SIMULATE + ["--missingness", "MCAR"],
+    ANALYZE + ["--reps", "0"],
+    ANALYZE + ["--alpha", "1.5"],
+    ANALYZE + ["--gamma", "-0.1"],
+], ids=lambda argv: " ".join([argv[0]] + argv[len(SIMULATE if argv[0] == "simulate"
+                                                      else ANALYZE):]))
+def test_out_of_range_option_is_usage_error(tmp_path, monkeypatch, argv):
+    from attrition_conformal import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_mc", no_run)
+    monkeypatch.setattr(cli, "run_replicates", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def test_value_error_during_a_run_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    from attrition_conformal import cli
+
+    def fail(*args, **kwargs):
+        raise ValueError("singular system")
+
+    monkeypatch.setattr(cli, "run_mc", fail)
+    assert main(SIMULATE + ["--out", str(tmp_path / "o")]) == 4
+    assert "singular system" in capsys.readouterr().err
+
+
+def test_malformed_mapping_json_is_data_error(tmp_path, capsys):
+    data = tmp_path / "small.csv"
+    data.write_text("x1,d,r,y\n0.5,1,1,2.5\n")
+    for name, text in (("broken.json", '{"outcome": "y",'), ("list.json", '["y"]')):
+        map_path = tmp_path / name
+        map_path.write_text(text)
+        rc = main(["analyze", "--data", str(data), "--map", str(map_path),
+                   "--method", "cise", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert name in capsys.readouterr().err
+
+
+def test_report_input_without_config_is_data_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(SIMULATE + ["--n", "200", "--reps", "1", "--out", str(run)]) == 0
+    doc = json.loads((run / "mc_report.json").read_text())
+    del doc["config"]
+    bad = tmp_path / "no_config.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["report", "--in", str(run / "mc_report.json"), str(bad),
+               "--out", str(tmp_path / "merged")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "no_config.json" in err and "'config'" in err
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    assert main(["report", "--in", str(broken), "--out", str(tmp_path / "merged")]) == 3
+    assert "broken.json" in capsys.readouterr().err

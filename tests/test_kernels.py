@@ -1,10 +1,11 @@
-"""Kernel-level checks: the lockstep grower matches a per-node oracle bit
-for bit, trees are deterministic, storage is compact, and chunked routing
-gives the same predictions as routing piece by piece."""
+"""Kernel-level checks: the lockstep grower and the pooled quantiles match
+per-node and per-point references bit for bit, trees are deterministic,
+storage is compact, and chunked prediction gives the same results as
+predicting piece by piece."""
 
-import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,40 @@ def _apply_tree_impl(x, feature, threshold, left, right):
     return node
 
 
+def _quantile_sorted_impl(a, m, q):
+    """Linearly interpolated empirical quantile of the first ``m`` sorted entries."""
+    if m == 1:
+        return a[0]
+    h = q * (m - 1)
+    i = int(h)
+    if i >= m - 1:
+        return a[m - 1]
+    frac = h - i
+    return a[i] + frac * (a[i + 1] - a[i])
+
+
+def _forest_pooled_quantiles_impl(leaf_mat, grouped_targets, leaf_start, leaf_count,
+                                  q_lo, q_hi):
+    """Reference pooling: for each test point, copy its leaves' targets from
+    every tree, sort them and interpolate two quantiles."""
+    n, n_trees = leaf_mat.shape
+    buf = np.empty(grouped_targets.size, np.float64)
+    lo = np.empty(n, np.float64)
+    hi = np.empty(n, np.float64)
+    for i in range(n):
+        pos = 0
+        for t in range(n_trees):
+            leaf = leaf_mat[i, t]
+            a = leaf_start[t, leaf]
+            c = leaf_count[t, leaf]
+            buf[pos:pos + c] = grouped_targets[a:a + c]
+            pos += c
+        pooled = np.sort(buf[:pos])
+        lo[i] = _quantile_sorted_impl(pooled, pos, q_lo)
+        hi[i] = _quantile_sorted_impl(pooled, pos, q_hi)
+    return lo, hi
+
+
 _ORACLE_FIELDS = ("features", "thresholds", "lefts", "rights", "values",
                   "grouped_targets", "leaf_start", "leaf_count")
 
@@ -188,9 +223,11 @@ def _oracle_forest(x, y, seed):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 80), k=st.integers(1, 6), seed=st.integers(0, 2**64 - 1),
        data_seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]),
-       duplicate=st.booleans(), constant=st.booleans(), binary=st.booleans())
+       duplicate=st.booleans(), constant=st.booleans(), binary=st.booleans(),
+       levels=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=2,
+                       max_size=2))
 def test_fit_forest_matches_per_node_oracle(n, k, seed, data_seed, decimals, duplicate,
-                                            constant, binary):
+                                            constant, binary, levels):
     rng = np.random.default_rng(data_seed)
     x = rng.standard_normal((n, k))
     if decimals is not None:
@@ -203,7 +240,7 @@ def test_fit_forest_matches_per_node_oracle(n, k, seed, data_seed, decimals, dup
 
     got = fit_forest(x, y, seed)
     want = _oracle_forest(x, y, seed)
-    assert (got.n_fit, got.k) == (n, k)
+    assert got.k == k
     for name in _ORACLE_FIELDS:
         a, b = getattr(got, name), want[name]
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -223,6 +260,12 @@ def test_fit_forest_matches_per_node_oracle(n, k, seed, data_seed, decimals, dup
     assert got.predict_mean(x_new).tobytes() == (want_mean / N_TREES).tobytes()
     assert np.array_equal(kernels.forest_leaf_matrix(x_new, got.features, got.thresholds,
                                                      got.lefts, got.rights), leaves.T)
+    # pooled quantiles equal sorting each point's pooled targets; binary y ties
+    q_lo, q_hi = levels
+    want_q = _forest_pooled_quantiles_impl(leaves.T, got.grouped_targets, got.leaf_start,
+                                           got.leaf_count, q_lo, q_hi)
+    for a, b in zip(got.predict_quantiles(x_new, q_lo, q_hi), want_q):
+        assert a.tobytes() == b.tobytes()
 
 
 def _toy_data(n=400, k=6, seed=0):
@@ -277,11 +320,17 @@ def test_one_batch_past_the_routing_chunk_matches_its_pieces():
     pieces = np.array_split(np.arange(xt.shape[0]), 7)  # not aligned with the chunks
     mean = f.predict_mean(xt)
     assert mean.tobytes() == np.concatenate([f.predict_mean(xt[p]) for p in pieces]).tobytes()
-    # the leaf matrix is the only chunked input of the pooled quantiles
     route = (f.features, f.thresholds, f.lefts, f.rights)
     leaves = kernels.forest_leaf_matrix(xt, *route)
     assert np.array_equal(leaves, np.concatenate([kernels.forest_leaf_matrix(xt[p], *route)
                                                   for p in pieces]))
+    # every leaf holds MIN_LEAF targets or more, so a pooling chunk holds fewer
+    # than _SCORE_CELLS / (N_TREES * MIN_LEAF) points and each piece spans several
+    assert min(p.size for p in pieces) * N_TREES * MIN_LEAF > kernels._SCORE_CELLS
+    lo, hi = f.predict_quantiles(xt, 0.1, 0.9)
+    parts = [f.predict_quantiles(xt[p], 0.1, 0.9) for p in pieces]
+    assert lo.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert hi.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
 
 
 def test_forest_storage_is_as_wide_as_its_largest_tree():
@@ -311,14 +360,15 @@ def test_fit_forest_rejects_non_finite_input():
 
 
 def test_fit_in_a_fresh_process_reproduces_predictions_bitwise():
-    """Run the same fit in a subprocess, with the pooled-quantile kernels on
-    the numpy path, and compare every prediction bitwise."""
+    """Run the same fit in a subprocess and compare every prediction bitwise."""
     x, y = _toy_data(n=300, k=5, seed=11)
     f = fit_forest(x, y, 5)
     got_mean = f.predict_mean(x)
     got_lo, got_hi = f.predict_quantiles(x[:50], 0.25, 0.75)
 
     script = (
+        "import sys\n"
+        "sys.path.insert(0, {src!r})\n"
         "import numpy as np\n"
         "from attrition_conformal.forest import fit_forest\n"
         "rng = np.random.default_rng(11)\n"
@@ -333,9 +383,9 @@ def test_fit_in_a_fresh_process_reproduces_predictions_bitwise():
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        env = dict(os.environ, **{kernels.NUMBA_ENV_FLAG: "1"})
-        subprocess.run([sys.executable, "-c", script.format(out=tmp)],
-                       check=True, env=env)
+        # the fresh process imports the package from where this one did
+        src = str(Path(kernels.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script.format(src=src, out=tmp)], check=True)
         assert np.array_equal(np.load(f"{tmp}/mean.npy"), got_mean)
         assert np.array_equal(np.load(f"{tmp}/lo.npy"), got_lo)
         assert np.array_equal(np.load(f"{tmp}/hi.npy"), got_hi)
@@ -347,6 +397,6 @@ def test_quantile_sorted_matches_numpy_type7():
         m = int(rng.integers(1, 40))
         a = np.sort(rng.standard_normal(m))
         q = float(rng.random())
-        got = kernels.quantile_sorted(a, m, q)
+        got = _quantile_sorted_impl(a, m, q)
         want = np.quantile(a, q)  # numpy default = linear interpolation
         assert abs(got - want) < 1e-12
