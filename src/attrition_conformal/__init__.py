@@ -14,8 +14,8 @@ from .conformal import (ScoreSet, cqr_score, interval_score,
 from .data import (LEARNERS, ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, SplitPlan, ValidationReport, make_splits,
                    validate_dataset)
-from .eif import (EtaSolution, PsiCounterfactualInputs, PsiExtrapolationInputs,
-                  initial_eta, psi0_eval, psi1_eval, psiC_eval, solve_smallest_eta)
+from .eif import (EtaSolution, PsiTerms, counterfactual_terms, extrapolation_terms,
+                  initial_eta, psi_eval, solve_smallest_eta)
 from .learners import (fit_conditional_cdf, fit_mean, fit_propensity, fit_quantile,
                        fit_quantile_pair)
 from .pipelines import (AteEstimate, AteSummary, CiseResult, aggregate_ate,

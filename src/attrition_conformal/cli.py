@@ -195,6 +195,10 @@ def cmd_report(args, parser) -> int:
         doc = read_json_object(path)
         try:
             agg, dgp, config = doc["aggregate"], doc["dgp"], doc["config"]
+            for key, value in (("aggregate", agg), ("dgp", dgp), ("config", config)):
+                if not isinstance(value, dict):
+                    raise DataValidationError(f"{path}: report key {key!r} holds "
+                                              f"{type(value).__name__}, not an object")
             row = {
                 "method": doc["method"], "learner": doc.get("learner", ""),
                 "dgp": dgp["kind"], "n": dgp["n"], "rho": dgp["rho"],

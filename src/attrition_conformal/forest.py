@@ -48,11 +48,18 @@ class FittedForest:
                                    self.lefts, self.rights, self.values)
 
     def predict_quantiles(self, x: np.ndarray, q_lo: float, q_hi: float) -> tuple[np.ndarray, np.ndarray]:
-        leaf_mat = kernels.forest_leaf_matrix(self._matrix(x), self.features,
-                                              self.thresholds, self.lefts, self.rights)
-        return kernels.forest_pooled_quantiles(leaf_mat, self.grouped_targets,
-                                               self.leaf_start, self.leaf_count,
-                                               float(q_lo), float(q_hi))
+        """Pooled quantiles, routed and pooled ``kernels.ROUTE_ROWS`` rows at a
+        time so that memory does not grow with the batch."""
+        x = self._matrix(x)
+        lo, hi = np.empty(x.shape[0]), np.empty(x.shape[0])
+        for a in range(0, x.shape[0], kernels.ROUTE_ROWS):
+            rows = slice(a, a + kernels.ROUTE_ROWS)
+            leaf_mat = kernels.forest_leaf_matrix(x[rows], self.features, self.thresholds,
+                                                  self.lefts, self.rights)
+            lo[rows], hi[rows] = kernels.forest_pooled_quantiles(
+                leaf_mat, self.grouped_targets, self.leaf_start, self.leaf_count,
+                float(q_lo), float(q_hi))
+        return lo, hi
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:

@@ -88,6 +88,9 @@ def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
             raise DataValidationError(f"{path}: missing columns {missing}")
         xs, ds_, rs, ys = [], [], [], []
         for i, rec in enumerate(reader):
+            if None in rec:  # csv.DictReader files a long row's extra fields under None
+                raise DataValidationError(f"{path}: data row {i} has {len(rec[None])} more "
+                                          "fields than the header")
             r_val = _parse_number(rec[mapping.response_col], i, mapping.response_col)
             if r_val not in (0.0, 1.0):
                 raise DataValidationError(f"non-binary response at data row {i}")

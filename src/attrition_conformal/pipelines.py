@@ -12,8 +12,7 @@ from .conformal import (cqr_score, expand_interval, interval_score,
                         unweighted_interval_conformal_batch, weighted_split_cqr_batch)
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, SplitPlan, make_splits, validate_dataset)
-from .eif import (PsiCounterfactualInputs, PsiExtrapolationInputs, initial_eta,
-                  psi0_eval, psi1_eval, psiC_eval, solve_smallest_eta)
+from .eif import counterfactual_terms, extrapolation_terms, initial_eta, solve_smallest_eta
 from .learners import (MeanModel, ProbabilityModel, fit_conditional_cdf, fit_mean,
                        fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
 from .rng import child_seed, make_rng
@@ -133,7 +132,7 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
     e_r0 = e_r_model.predict_proba(_with_treatment(ds.x[cal], np.zeros(cal.size)))
 
     eta_solutions = {}
-    for arm, psi in ((1, psi1_eval), (0, psi0_eval)):
+    for arm in (1, 0):
         v_arm = np.where((ds.r[cal] == 1) & (ds.d[cal] == arm), v_cal, np.nan)
         # The frozen CDF surrogate sits at its target level by construction,
         # so its sampling noise alone can push the moment's ceiling below
@@ -141,12 +140,8 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         # (the constant of the double-robustness route) removes that failure
         # mode without moving the root's first-order location.
         m_hat = np.maximum(m_models[arm].predict_proba(ds.x[cal]), 1.0 - cfg.alpha)
-        inputs = PsiCounterfactualInputs(d=ds.d[cal], r=ds.r[cal], v=v_arm,
-                                         m=m_hat,
-                                         e_r1=e_r1, e_r0=e_r0, pi_d=pi_d,
-                                         alpha=cfg.alpha)
-        candidates = np.sort(v_arm[np.isfinite(v_arm)])
-        sol = solve_smallest_eta(inputs, psi, candidates)
+        sol = solve_smallest_eta(counterfactual_terms(arm, ds.d[cal], ds.r[cal], v_arm, m_hat,
+                                                      e_r1, e_r0, pi_d, cfg.alpha))
         if sol.degenerate:
             flags.append(f"eta_alpha_{arm} is infinite; counterfactual intervals unbounded")
         eta_solutions[arm] = sol
@@ -257,11 +252,8 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     # same target-level floor as in step 1 (see the comment there)
     m_hat = np.maximum(m_c.predict_proba(_with_treatment(ds.x[solve_rows], ds.d[solve_rows])),
                        1.0 - cfg.gamma)
-    inputs = PsiExtrapolationInputs(r=ds.r[solve_rows], v=v_solve,
-                                    m=m_hat,
-                                    pi_r=e_r / (1.0 - e_r), gamma=cfg.gamma)
-    candidates = np.sort(v_solve[np.isfinite(v_solve)])
-    sol = solve_smallest_eta(inputs, psiC_eval, candidates)
+    sol = solve_smallest_eta(extrapolation_terms(ds.r[solve_rows], v_solve, m_hat,
+                                                 e_r / (1.0 - e_r), cfg.gamma))
     if sol.degenerate:
         flags.append("eta_gamma is infinite; attrition intervals unbounded")
 

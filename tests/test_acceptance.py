@@ -16,8 +16,7 @@ from scipy.special import ndtr, ndtri
 from attrition_conformal.cli import main as cli_main
 from attrition_conformal.conformal import ScoreSet, weighted_quantile, weighted_split_cqr_batch
 from attrition_conformal.data import ConformalConfig, ExperimentDataset, make_splits
-from attrition_conformal.eif import (PsiCounterfactualInputs, PsiExtrapolationInputs,
-                                     psi0_eval, psi1_eval, psiC_eval,
+from attrition_conformal.eif import (counterfactual_terms, extrapolation_terms, psi_eval,
                                      solve_smallest_eta)
 from attrition_conformal.pipelines import cise_step1, run_cise
 from attrition_conformal.rng import make_rng
@@ -169,9 +168,8 @@ def _counterfactual_inputs(setup, arm):
         v_src = np.maximum(-setup["z"] - setup["noise"], setup["noise"] - setup["z"])
         v = np.where((ds.d == 0) & (ds.r == 1), v_src, np.nan)
     m = np.full(n, setup["m_cf"](setup["eta_alpha"]))
-    return PsiCounterfactualInputs(d=ds.d, r=ds.r, v=v, m=m, e_r1=setup["e_r1"],
-                                   e_r0=setup["e_r0"], pi_d=setup["pi_d"],
-                                   alpha=setup["alpha"])
+    return counterfactual_terms(arm, ds.d, ds.r, v, m, setup["e_r1"], setup["e_r0"],
+                                setup["pi_d"], setup["alpha"])
 
 
 def _extrapolation_inputs(setup, m_override=None, pi_override=None):
@@ -180,8 +178,7 @@ def _extrapolation_inputs(setup, m_override=None, pi_override=None):
     m_val = setup["m_ex"](setup["eta_gamma"]) if m_override is None else m_override
     e_r = setup["e_r_own"]
     pi_r = e_r / (1 - e_r) if pi_override is None else np.full(ds.n, pi_override)
-    return PsiExtrapolationInputs(r=ds.r, v=v, m=np.full(ds.n, m_val), pi_r=pi_r,
-                                  gamma=setup["gamma"])
+    return extrapolation_terms(ds.r, v, np.full(ds.n, m_val), pi_r, setup["gamma"])
 
 
 def _zero_mean_check(values, n):
@@ -200,9 +197,9 @@ def test_criterion_6_eif_zero_mean_at_truth():
     results = {}
     ok = True
     for name, values in (
-        ("psi_1", psi1_eval(_counterfactual_inputs(setup, 1), setup["eta_alpha"])),
-        ("psi_0", psi0_eval(_counterfactual_inputs(setup, 0), setup["eta_alpha"])),
-        ("psi_C", psiC_eval(_extrapolation_inputs(setup), setup["eta_gamma"])),
+        ("psi_1", psi_eval(_counterfactual_inputs(setup, 1), setup["eta_alpha"])),
+        ("psi_0", psi_eval(_counterfactual_inputs(setup, 0), setup["eta_alpha"])),
+        ("psi_C", psi_eval(_extrapolation_inputs(setup), setup["eta_gamma"])),
     ):
         good, mean, bound = _zero_mean_check(values, n)
         results[name] = f"{name}: |{mean:+.5f}| <= {bound:.5f}"
@@ -217,11 +214,11 @@ def test_criterion_7_double_robustness():
     (true conditional CDF)."""
     setup = _truth_setup()
     n = setup["ds"].n
-    wrong_m = psiC_eval(_extrapolation_inputs(setup, m_override=1 - setup["gamma"]),
-                        setup["eta_gamma"])
+    wrong_m = psi_eval(_extrapolation_inputs(setup, m_override=1 - setup["gamma"]),
+                       setup["eta_gamma"])
     ok_m, mean_m, bound_m = _zero_mean_check(wrong_m, n)
-    wrong_pi = psiC_eval(_extrapolation_inputs(setup, pi_override=2.0),
-                         setup["eta_gamma"])
+    wrong_pi = psi_eval(_extrapolation_inputs(setup, pi_override=2.0),
+                        setup["eta_gamma"])
     ok_pi, mean_pi, bound_pi = _zero_mean_check(wrong_pi, n)
     ok = ok_m and ok_pi
     _report(7, ok, f"constant CDF: |{mean_m:+.5f}| <= {bound_m:.5f}; "
@@ -233,9 +230,9 @@ def test_criterion_8_solver_exactness():
     instances; weighted_quantile matches enumeration on 1000 score sets."""
     rng = make_rng(SEED + 8)
 
-    def brute_force(inputs, psi, candidates):
+    def brute_force(terms, candidates):
         for c in np.sort(candidates):
-            if np.mean(psi(inputs, np.nextafter(c, math.inf))) >= 0.0:
+            if np.mean(psi_eval(terms, np.nextafter(c, math.inf))) >= 0.0:
                 return float(c)
         return math.inf
 
@@ -245,23 +242,21 @@ def test_criterion_8_solver_exactness():
         if i % 2 == 0:
             r = rng.integers(0, 2, n)
             v = np.where(r == 1, np.round(rng.standard_normal(n), 1), np.nan)
-            inp = PsiExtrapolationInputs(r=r, v=v, m=rng.uniform(0.05, 0.95, n),
-                                         pi_r=rng.uniform(0.3, 3.0, n),
-                                         gamma=float(rng.uniform(0.05, 0.5)))
-            psi = psiC_eval
+            terms = extrapolation_terms(r=r, v=v, m=rng.uniform(0.05, 0.95, n),
+                                        pi_r=rng.uniform(0.3, 3.0, n),
+                                        gamma=float(rng.uniform(0.05, 0.5)))
         else:
             d = rng.integers(0, 2, n)
             r = rng.integers(0, 2, n)
             v = np.where((d == 1) & (r == 1), np.round(rng.standard_normal(n), 1), np.nan)
-            inp = PsiCounterfactualInputs(d=d, r=r, v=v, m=rng.uniform(0.05, 0.95, n),
-                                          e_r1=rng.uniform(0.2, 0.8, n),
-                                          e_r0=rng.uniform(0.2, 0.8, n),
-                                          pi_d=rng.uniform(0.3, 3.0, n),
-                                          alpha=float(rng.uniform(0.05, 0.5)))
-            psi = psi1_eval
-        candidates = inp.v[np.isfinite(inp.v)]
-        got = solve_smallest_eta(inp, psi, candidates).eta
-        want = brute_force(inp, psi, candidates)
+            terms = counterfactual_terms(1, d=d, r=r, v=v, m=rng.uniform(0.05, 0.95, n),
+                                         e_r1=rng.uniform(0.2, 0.8, n),
+                                         e_r0=rng.uniform(0.2, 0.8, n),
+                                         pi_d=rng.uniform(0.3, 3.0, n),
+                                         alpha=float(rng.uniform(0.05, 0.5)))
+        candidates = terms.v[np.isfinite(terms.v)]
+        got = solve_smallest_eta(terms).eta
+        want = brute_force(terms, candidates)
         if got != want:
             solver_mismatches += 1
 

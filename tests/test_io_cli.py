@@ -304,6 +304,19 @@ def test_short_csv_row_is_data_error_naming_row_and_column(tmp_path, capsys):
     assert "data row 1" in err and "'y'" in err
 
 
+
+def test_long_csv_row_is_data_error_naming_row(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("x1,x2,d,r,y\n0.5,1.0,1,1,2.5\n0.3,0.4,0,1,1.5,9.9\n")
+    map_path = tmp_path / "map.json"
+    _write_mapping(map_path, ["x1", "x2"])
+    rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "long.csv" in err and "data row 1" in err
+
+
 SIMULATE = ["simulate", "--dgp", "dgp1", "--n", "300", "--reps", "2", "--method", "cise"]
 ANALYZE = ["analyze", "--data", "never-read.csv", "--map", "never-read.json",
            "--method", "cise"]
@@ -375,3 +388,13 @@ def test_report_input_without_config_is_data_error(tmp_path, capsys):
     broken.write_text("{")
     assert main(["report", "--in", str(broken), "--out", str(tmp_path / "merged")]) == 3
     assert "broken.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("dgp", 5), ("aggregate", [])])
+def test_report_value_of_wrong_type_is_data_error(tmp_path, capsys, key, value):
+    doc = {"method": "cise", "aggregate": {}, "dgp": {}, "config": {}, key: value}
+    bad = tmp_path / "wrong_type.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["report", "--in", str(bad), "--out", str(tmp_path / "merged")]) == 3
+    err = capsys.readouterr().err
+    assert "wrong_type.json" in err and repr(key) in err

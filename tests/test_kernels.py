@@ -5,6 +5,7 @@ predicting piece by piece."""
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,28 @@ def test_one_batch_past_the_routing_chunk_matches_its_pieces():
     parts = [f.predict_quantiles(xt[p], 0.1, 0.9) for p in pieces]
     assert lo.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
     assert hi.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+    # the whole batch pooled at once, as one leaf matrix
+    whole = kernels.forest_pooled_quantiles(leaves, f.grouped_targets, f.leaf_start,
+                                            f.leaf_count, 0.1, 0.9)
+    assert lo.tobytes() == whole[0].tobytes() and hi.tobytes() == whole[1].tobytes()
+
+
+def test_quantile_prediction_memory_does_not_grow_with_the_batch():
+    x, y = _toy_data(n=100, k=3, seed=4)
+    f = fit_forest(x, y, 1)
+    xt = np.random.default_rng(5).standard_normal((20000, 3))
+
+    def peak_bytes(batch):
+        tracemalloc.start()
+        try:
+            f.predict_quantiles(batch, 0.1, 0.9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = peak_bytes(xt[:kernels.ROUTE_ROWS])
+    # a whole-batch (20000, N_TREES) leaf matrix alone would add 16 MB
+    assert peak_bytes(xt) < 1.5 * one_chunk
 
 
 def test_forest_storage_is_as_wide_as_its_largest_tree():
