@@ -38,13 +38,29 @@ class ColumnMapping:
 
     @classmethod
     def from_json(cls, path) -> "ColumnMapping":
-        raw = read_json_object(path)
-        try:
-            return cls(outcome_col=raw["outcome"], treatment_col=raw["treatment"],
-                       response_col=raw["response"], covariate_cols=raw["covariates"],
-                       na_tokens=tuple(raw.get("na_tokens", ("", "NA"))))
-        except KeyError as exc:
-            raise DataValidationError(f"{path}: mapping file is missing key {exc}") from exc
+        """Read a mapping file: string column names, a non-empty list of
+        covariate names and an optional list of NA tokens.  A missing key or
+        a value of another type is a :class:`DataValidationError` naming the
+        file and the key."""
+        raw = {"na_tokens": ["", "NA"], **read_json_object(path)}
+        for key, want in (("outcome", "a column name"), ("treatment", "a column name"),
+                          ("response", "a column name"),
+                          ("covariates", "a non-empty list of column names"),
+                          ("na_tokens", "a list of strings")):
+            if key not in raw:
+                raise DataValidationError(f"{path}: mapping file is missing key {key!r}")
+            value = raw[key]
+            if want == "a column name":
+                ok = isinstance(value, str)
+            else:
+                ok = (isinstance(value, list) and all(isinstance(v, str) for v in value)
+                      and (len(value) > 0 or key == "na_tokens"))
+            if not ok:
+                raise DataValidationError(f"{path}: mapping key {key!r} holds {value!r}, "
+                                          f"not {want}")
+        return cls(outcome_col=raw["outcome"], treatment_col=raw["treatment"],
+                   response_col=raw["response"], covariate_cols=raw["covariates"],
+                   na_tokens=raw["na_tokens"])
 
 
 def read_json_object(path) -> dict:
@@ -81,11 +97,16 @@ def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataValidationError(f"{path}: empty file, header row required")
-        missing = [c for c in (mapping.outcome_col, mapping.treatment_col,
-                               mapping.response_col, *mapping.covariate_cols)
-                   if c not in reader.fieldnames]
+        mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
+                  *mapping.covariate_cols)
+        missing = [c for c in mapped if c not in reader.fieldnames]
         if missing:
             raise DataValidationError(f"{path}: missing columns {missing}")
+        repeated = [c for c in mapped if reader.fieldnames.count(c) > 1]
+        if repeated:
+            # csv.DictReader would silently keep the last of the repeated fields
+            raise DataValidationError(f"{path}: the header names column {repeated[0]!r} "
+                                      "more than once")
         xs, ds_, rs, ys = [], [], [], []
         for i, rec in enumerate(reader):
             if None in rec:  # csv.DictReader files a long row's extra fields under None

@@ -6,6 +6,11 @@ iteratively reweighted least squares on a smoothed pinball loss) and
 ``random_forest`` (bootstrap CART forest; probabilities and means by leaf
 averaging, quantiles by leaf pooling).  Every fit takes the learner and a
 seed; only the forest draws from the seed.
+
+Every fitted model is a fitted column (:class:`MeanModel`: linear or
+forest; a constant is a zero-slope :class:`LinearMean`) followed by at most
+a link, a clip or a crossing repair, and carries ``degenerate`` (the data
+left nothing to fit) and ``warning`` (None, or why the fit is suspect).
 """
 
 from __future__ import annotations
@@ -39,50 +44,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class ProbabilityModel:
-    """Binary-probability predictor; outputs clipped to [clip, 1-clip]."""
-
-    def __init__(self, degenerate: bool = False, warning: str | None = None):
-        self.degenerate = degenerate
-        self.warning = warning
-
-    def _raw(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def predict_proba(self, features) -> np.ndarray:
-        p = self._raw(_as_matrix(features))
-        return np.clip(p, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
-
-
-class ConstantProbability(ProbabilityModel):
-    def __init__(self, p: float, degenerate: bool = True, warning: str | None = None):
-        super().__init__(degenerate, warning)
-        self.p = float(p)
-
-    def _raw(self, x):
-        return np.full(x.shape[0], self.p)
-
-
-class LogisticModel(ProbabilityModel):
-    def __init__(self, intercept: float, coef: np.ndarray, warning: str | None = None):
-        super().__init__(degenerate=False, warning=warning)
-        self.intercept_ = float(intercept)
-        self.coef_ = np.asarray(coef, dtype=np.float64)
-
-    def _raw(self, x):
-        return _sigmoid(self.intercept_ + x @ self.coef_)
-
-
-class ForestProbability(ProbabilityModel):
-    def __init__(self, forest: FittedForest):
-        super().__init__()
-        self.forest = forest
-
-    def _raw(self, x):
-        return self.forest.predict_mean(x)
-
-
 class MeanModel:
+    """One fitted column x -> R^n."""
+
     def __init__(self, degenerate: bool = False, warning: str | None = None):
         self.degenerate = degenerate
         self.warning = warning
@@ -111,6 +75,35 @@ class ForestMean(MeanModel):
         return self.forest.predict_mean(_as_matrix(features))
 
 
+class _QuantileAsMean(MeanModel):
+    """The pooled ``level`` quantile of a forest's leaves."""
+
+    def __init__(self, forest: FittedForest, level: float):
+        super().__init__()
+        self.forest = forest
+        self.level = level
+
+    def predict(self, features):
+        return self.forest.predict_quantiles(_as_matrix(features), self.level, self.level)[0]
+
+
+class ProbabilityModel:
+    """A fitted column, the logistic link if ``logistic``, then the clip to
+    [clip, 1 - clip]; the diagnostics are the column's."""
+
+    def __init__(self, score: MeanModel, logistic: bool = False):
+        self.score = score
+        self.logistic = logistic
+        self.degenerate = score.degenerate
+        self.warning = score.warning
+
+    def predict_proba(self, features) -> np.ndarray:
+        p = self.score.predict(features)
+        if self.logistic:
+            p = _sigmoid(p)
+        return np.clip(p, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+
+
 def repair_crossing(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Move crossed quantile pairs (lo > hi) to their midpoint; inputs stay as they are."""
     crossed = lo > hi
@@ -124,65 +117,56 @@ def repair_crossing(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class QuantilePairModel:
-    """Predicts (q_lo(x), q_hi(x)); crossings are repaired to their midpoint."""
+    """Two fitted columns (q_lo(x), q_hi(x)); crossings are repaired to their
+    midpoint.  The pair is degenerate or warns if either column does."""
 
-    def __init__(self, converged: bool = True, warning: str | None = None):
-        self.converged = converged
-        self.warning = warning
+    def __init__(self, lo: MeanModel, hi: MeanModel):
+        self.lo = lo
+        self.hi = hi
+        self.degenerate = lo.degenerate or hi.degenerate
+        self.warning = lo.warning or hi.warning
 
     def _raw(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        return self.lo.predict(x), self.hi.predict(x)
 
     def predict(self, features) -> tuple[np.ndarray, np.ndarray]:
         return repair_crossing(*self._raw(_as_matrix(features)))
 
 
-class LinearQuantilePair(QuantilePairModel):
-    def __init__(self, lo_model: LinearMean, hi_model: LinearMean, converged: bool,
-                 warning: str | None = None):
-        super().__init__(converged, warning)
-        self.lo_model = lo_model
-        self.hi_model = hi_model
-
-    def _raw(self, x):
-        return self.lo_model.predict(x), self.hi_model.predict(x)
-
-
 class ForestQuantilePair(QuantilePairModel):
+    """Both columns from one forest, predicted in one routing and pooling pass."""
+
     def __init__(self, forest: FittedForest, lo_level: float, hi_level: float):
-        super().__init__()
-        self.forest = forest
-        self.lo_level = lo_level
-        self.hi_level = hi_level
+        super().__init__(_QuantileAsMean(forest, lo_level), _QuantileAsMean(forest, hi_level))
 
     def _raw(self, x):
-        return self.forest.predict_quantiles(x, self.lo_level, self.hi_level)
+        return self.lo.forest.predict_quantiles(x, self.lo.level, self.hi.level)
 
 
-class ConstantQuantilePair(QuantilePairModel):
-    def __init__(self, lo: float, hi: float):
-        super().__init__()
-        self.lo = lo
-        self.hi = hi
-
-    def _raw(self, x):
-        n = x.shape[0]
-        return np.full(n, self.lo), np.full(n, self.hi)
-
-
-def _irls_logistic(x: np.ndarray, y: np.ndarray,
-                   max_iter: int = 100, tol: float = 1e-10) -> tuple[float, np.ndarray, str | None]:
-    """Ridge-penalized logistic regression by IRLS; intercept unpenalized."""
-    n, k = x.shape
+def _standardise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The design [1, (x - mean) / sd] with its column means and sds (sd 0 read as 1)."""
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
     sd[sd == 0] = 1.0
-    xs = (x - mu) / sd
-    design = np.hstack([np.ones((n, 1)), xs])
-    beta = np.zeros(k + 1)
-    pen = np.full(k + 1, RIDGE)
+    return np.hstack([np.ones((x.shape[0], 1)), (x - mu) / sd]), mu, sd
+
+
+def _unstandardise(beta: np.ndarray, mu: np.ndarray, sd: np.ndarray,
+                   warning: str | None) -> LinearMean:
+    """The linear fit on the original scale from coefficients on the standardised design."""
+    coef = beta[1:] / sd
+    return LinearMean(beta[0] - float(mu @ coef), coef, warning=warning)
+
+
+def _irls_logistic(x: np.ndarray, y: np.ndarray,
+                   max_iter: int = 100, tol: float = 1e-10) -> LinearMean:
+    """Ridge-penalized logistic regression by IRLS; intercept unpenalized.
+    Returns the logit as a linear column."""
+    design, mu, sd = _standardise(x)
+    beta = np.zeros(design.shape[1])
+    pen = np.full(design.shape[1], RIDGE)
     pen[0] = 0.0
-    warning = None
+    warning = "logistic IRLS reached max iterations"
     for _ in range(max_iter):
         eta = design @ beta
         p = _sigmoid(eta)
@@ -200,32 +184,24 @@ def _irls_logistic(x: np.ndarray, y: np.ndarray,
         step = np.max(np.abs(new - beta))
         beta = new
         if step < tol * (1.0 + np.max(np.abs(beta))):
+            warning = None
             break
-    else:
-        warning = "logistic IRLS reached max iterations"
-    coef = beta[1:] / sd
-    intercept = beta[0] - float(mu @ coef)
-    return intercept, coef, warning
+    return _unstandardise(beta, mu, sd, warning)
 
 
-def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float) -> tuple[float, np.ndarray, bool]:
+def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float) -> LinearMean:
     """Linear quantile fit: IRLS on the smoothed (Huberized) pinball loss.
 
     Majorize-minimize with residual weights 1 / (2 max(|r|, smoothing));
     converges to the pinball minimizer up to the smoothing width.
     """
-    n, k = x.shape
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    sd[sd == 0] = 1.0
-    xs = (x - mu) / sd
-    design = np.hstack([np.ones((n, 1)), xs])
-    pen = np.full(k + 1, RIDGE)
+    design, mu, sd = _standardise(x)
+    pen = np.full(design.shape[1], RIDGE)
     pen[0] = 1e-12
     scale = max(np.std(y), 1e-12)
 
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    converged = False
+    warning = "quantile IRLS reached max iterations"
     for _ in range(MAX_ITER):
         r = y - design @ beta
         w = 1.0 / (2.0 * np.maximum(np.abs(r), SMOOTHING))
@@ -234,44 +210,48 @@ def _irls_quantile(x: np.ndarray, y: np.ndarray, level: float) -> tuple[float, n
         try:
             new = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
+            warning = "quantile IRLS hit a singular system"
             break
         step = np.max(np.abs(new - beta))
         beta = new
         if step < 1e-7 * scale:
-            converged = True
+            warning = None
             break
-    coef = beta[1:] / sd
-    intercept = beta[0] - float(mu @ coef)
-    return intercept, coef, converged
+    return _unstandardise(beta, mu, sd, warning)
 
 
-def fit_propensity(features, labels, learner: str, seed: int) -> ProbabilityModel:
-    """Fit a clipped binary-probability model (treatment or response propensity)."""
-    check_learner(learner)
-    x = _as_matrix(features)
-    y = np.asarray(labels, dtype=np.float64)
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be binary")
-    if x.shape[0] != y.shape[0] or x.shape[0] < 1:
-        raise ValueError("features and labels must align and be non-empty")
-    if y.min() == y.max():
-        p = PROPENSITY_CLIP if y[0] == 0.0 else 1.0 - PROPENSITY_CLIP
-        return ConstantProbability(p, degenerate=True, warning="single-class labels")
-    if learner == RANDOM_FOREST:
-        return ForestProbability(fit_forest(x, y, seed))
-    intercept, coef, warning = _irls_logistic(x, y)
-    return LogisticModel(intercept, coef, warning)
-
-
-def fit_mean(features, targets, learner: str, seed: int) -> MeanModel:
-    """Fit a conditional-mean regressor (least squares or regression forest)."""
+def _fit_inputs(name: str, features, targets, learner: str,
+                min_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The input check of every fit: a known learner, aligned features and
+    targets, and at least ``min_rows`` rows."""
     check_learner(learner)
     x = _as_matrix(features)
     y = np.asarray(targets, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and targets must align")
-    if x.shape[0] < 2:
-        raise InsufficientDataError("fit_mean needs at least 2 rows")
+    if x.shape[0] < min_rows:
+        raise InsufficientDataError(f"{name} needs at least {min_rows} "
+                                    f"row{'s' if min_rows > 1 else ''}")
+    return x, y
+
+
+def fit_propensity(features, labels, learner: str, seed: int) -> ProbabilityModel:
+    """Fit a clipped binary-probability model (treatment or response propensity)."""
+    x, y = _fit_inputs("fit_propensity", features, labels, learner, 1)
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be binary")
+    if y.min() == y.max():
+        p = PROPENSITY_CLIP if y[0] == 0.0 else 1.0 - PROPENSITY_CLIP
+        return ProbabilityModel(LinearMean(p, np.zeros(x.shape[1]), degenerate=True,
+                                           warning="single-class labels"))
+    if learner == RANDOM_FOREST:
+        return ProbabilityModel(ForestMean(fit_forest(x, y, seed)))
+    return ProbabilityModel(_irls_logistic(x, y), logistic=True)
+
+
+def fit_mean(features, targets, learner: str, seed: int) -> MeanModel:
+    """Fit a conditional-mean regressor (least squares or regression forest)."""
+    x, y = _fit_inputs("fit_mean", features, targets, learner, 2)
     if learner == RANDOM_FOREST:
         return ForestMean(fit_forest(x, y, seed))
     design = np.hstack([np.ones((x.shape[0], 1)), x])
@@ -287,50 +267,26 @@ def fit_mean(features, targets, learner: str, seed: int) -> MeanModel:
 
 def fit_quantile(features, targets, level: float, learner: str, seed: int) -> MeanModel:
     """Fit a single conditional quantile at ``level``."""
-    check_learner(learner)
-    x = _as_matrix(features)
-    y = np.asarray(targets, dtype=np.float64)
+    x, y = _fit_inputs("fit_quantile", features, targets, learner, 1)
     if not (0.0 < level < 1.0):
         raise ValueError("quantile level must lie in (0, 1)")
     if learner == RANDOM_FOREST:
-        return _QuantileAsMean(ForestQuantilePair(fit_forest(x, y, seed), level, level))
-    intercept, coef, converged = _irls_quantile(x, y, level)
-    warning = None if converged else "quantile IRLS reached max iterations"
-    return LinearMean(intercept, coef, warning=warning)
-
-
-class _QuantileAsMean(MeanModel):
-    def __init__(self, pair: QuantilePairModel):
-        super().__init__()
-        self.pair = pair
-
-    def predict(self, features):
-        lo, _ = self.pair.predict(features)
-        return lo
+        return _QuantileAsMean(fit_forest(x, y, seed), level)
+    return _irls_quantile(x, y, level)
 
 
 def fit_quantile_pair(features, targets, lo_level: float, hi_level: float,
                       learner: str, seed: int) -> QuantilePairModel:
     """Fit the (lo_level, hi_level) conditional-quantile pair with crossing repair."""
-    check_learner(learner)
+    x, y = _fit_inputs("fit_quantile_pair", features, targets, learner, 4)
     if not (0.0 < lo_level < hi_level < 1.0):
         raise ValueError("need 0 < lo_level < hi_level < 1")
-    x = _as_matrix(features)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("features and targets must align")
-    if x.shape[0] < 4:
-        raise InsufficientDataError("fit_quantile_pair needs at least 4 rows")
     if y.min() == y.max():
-        return ConstantQuantilePair(y[0], y[0])
+        constant = LinearMean(y[0], np.zeros(x.shape[1]), degenerate=True)
+        return QuantilePairModel(constant, constant)
     if learner == RANDOM_FOREST:
         return ForestQuantilePair(fit_forest(x, y, seed), lo_level, hi_level)
-    i_lo, c_lo, ok_lo = _irls_quantile(x, y, lo_level)
-    i_hi, c_hi, ok_hi = _irls_quantile(x, y, hi_level)
-    converged = ok_lo and ok_hi
-    warning = None if converged else "quantile IRLS reached max iterations"
-    return LinearQuantilePair(LinearMean(i_lo, c_lo), LinearMean(i_hi, c_hi),
-                              converged, warning)
+    return QuantilePairModel(_irls_quantile(x, y, lo_level), _irls_quantile(x, y, hi_level))
 
 
 def fit_conditional_cdf(features, scores, eta0: float, learner: str,

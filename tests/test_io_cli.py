@@ -63,6 +63,46 @@ def test_mapping_requires_distinct_names():
                       covariate_cols=("x1",))
 
 
+@pytest.mark.parametrize("key, value", [("covariates", "x1"), ("covariates", []),
+                                        ("covariates", ["x1", 2]), ("na_tokens", "NA"),
+                                        ("outcome", 5), ("treatment", None)])
+def test_mapping_value_of_wrong_type_is_data_error(tmp_path, capsys, key, value):
+    # a string is not split into one-character columns or tokens, and a
+    # non-string column name is not reported as a missing column
+    data = tmp_path / "small.csv"
+    data.write_text("x1,d,r,y\n0.5,1,1,2.5\n0.1,0,0,NA\n")
+    map_path = tmp_path / "wrong_map.json"
+    map_path.write_text(json.dumps({"outcome": "y", "treatment": "d", "response": "r",
+                                    "covariates": ["x1"], "na_tokens": ["NA"], key: value}))
+    with pytest.raises(DataValidationError, match=f"wrong_map.json: mapping key '{key}'"):
+        ColumnMapping.from_json(map_path)
+    rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "wrong_map.json" in err and repr(key) in err
+
+
+def test_csv_header_repeating_a_mapped_column_is_data_error(tmp_path, capsys):
+    # csv.DictReader would keep the second x1 column without a word
+    data = tmp_path / "dup.csv"
+    data.write_text("x1,x1,d,r,y\n0.5,9.0,1,1,2.5\n")
+    map_path = tmp_path / "map.json"
+    _write_mapping(map_path, ["x1"])
+    mapping = ColumnMapping.from_json(map_path)
+    with pytest.raises(DataValidationError, match="'x1'"):
+        load_csv(data, mapping)
+    rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "dup.csv" in err and "'x1'" in err
+    # a repeated column that the mapping does not name is not read, so it may repeat
+    other = tmp_path / "dup_unmapped.csv"
+    other.write_text("z,z,x1,d,r,y\n1,2,0.5,1,1,2.5\n")
+    assert load_csv(other, mapping).x[0, 0] == 0.5
+
+
 def test_cmd_simulate_writes_three_files(tmp_path):
     out = tmp_path / "run"
     rc = main(["simulate", "--dgp", "dgp1", "--n", "500", "--reps", "5",
@@ -390,11 +430,33 @@ def test_report_input_without_config_is_data_error(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("dgp", 5), ("aggregate", [])])
+def _report_doc(digest):
+    return {"method": "cise", "learner": "glm", "dgp": {"kind": "dgp1", "n": 200, "rho": 0.0},
+            "config": {"alpha": 0.025, "gamma": 0.025}, "run_digest": digest,
+            "aggregate": {"mean_coverage": 0.95, "sd_coverage": 0.01, "mean_length": 4.0,
+                          "sd_length": 0.1, "n_reps": 2, "n_failed": 0}}
+
+
+@pytest.mark.parametrize("key, value", [("dgp", 5), ("aggregate", []), ("method", ["x"]),
+                                        ("dgp.kind", 1), ("dgp.n", "200"), ("dgp.n", True),
+                                        ("dgp.rho", "0"), ("config.alpha", "0.1"),
+                                        ("config.gamma", None), ("run_digest", 5)])
 def test_report_value_of_wrong_type_is_data_error(tmp_path, capsys, key, value):
-    doc = {"method": "cise", "aggregate": {}, "dgp": {}, "config": {}, key: value}
+    # merged with a valid report, a wrong scalar type used to crash the sort
+    # or slip through --allow-mixed
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_report_doc("a")))
+    doc = _report_doc("b")
+    if "." in key:
+        outer, inner = key.split(".")
+        doc[outer][inner] = value
+    else:
+        doc[key] = value
     bad = tmp_path / "wrong_type.json"
     bad.write_text(json.dumps(doc))
-    assert main(["report", "--in", str(bad), "--out", str(tmp_path / "merged")]) == 3
-    err = capsys.readouterr().err
-    assert "wrong_type.json" in err and repr(key) in err
+    for extra in ([], ["--allow-mixed"]):
+        rc = main(["report", "--in", str(good), str(bad), "--out", str(tmp_path / "merged"),
+                   *extra])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "wrong_type.json" in err and repr(key) in err

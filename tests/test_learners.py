@@ -3,11 +3,10 @@ import pytest
 from scipy.special import expit, ndtri
 
 from attrition_conformal.data import GLM, RANDOM_FOREST, InsufficientDataError
-from attrition_conformal.learners import (ForestMean, ForestProbability,
-                                          ForestQuantilePair, LinearMean,
-                                          LinearQuantilePair, LogisticModel,
-                                          fit_conditional_cdf, fit_mean,
-                                          fit_propensity, fit_quantile,
+from attrition_conformal.forest import fit_forest
+from attrition_conformal.learners import (ForestMean, ForestQuantilePair, LinearMean,
+                                          QuantilePairModel, fit_conditional_cdf,
+                                          fit_mean, fit_propensity, fit_quantile,
                                           fit_quantile_pair)
 from attrition_conformal.rng import make_rng
 
@@ -62,8 +61,8 @@ def test_propensity_recovers_attrition_model_coefficients():
     p = expit(-0.25 + 0.5 * d + 0.2 * x1 - 0.3 * x2)
     labels = (rng.random(n) < p).astype(float)
     model = fit_propensity(np.column_stack([d, x1, x2]), labels, GLM, 0)
-    assert abs(model.intercept_ - (-0.25)) < 0.1
-    assert np.all(np.abs(model.coef_ - np.array([0.5, 0.2, -0.3])) < 0.1)
+    assert abs(model.score.intercept_ - (-0.25)) < 0.1
+    assert np.all(np.abs(model.score.coef_ - np.array([0.5, 0.2, -0.3])) < 0.1)
 
 
 def test_propensity_outputs_always_clipped():
@@ -207,15 +206,69 @@ def test_conditional_cdf_requires_finite_threshold():
 # ---- learner families -------------------------------------------------------
 
 def test_learner_families_per_role():
-    # one family serves every role: glm fits linear models, random_forest forests
+    # one family serves every role: glm fits linear columns, random_forest forests
     rng = make_rng(6)
     x = rng.standard_normal((120, 3))
     y = x[:, 0] + rng.standard_normal(120)
     labels = (rng.random(120) < 0.5).astype(float)
-    for learner, pair, prob, mean in ((GLM, LinearQuantilePair, LogisticModel, LinearMean),
-                                      (RANDOM_FOREST, ForestQuantilePair, ForestProbability,
-                                       ForestMean)):
-        assert isinstance(fit_quantile_pair(x, y, 0.1, 0.9, learner, 4), pair)
-        assert isinstance(fit_propensity(x, labels, learner, 4), prob)
-        assert isinstance(fit_conditional_cdf(x, y, 0.0, learner, 4), prob)
-        assert isinstance(fit_mean(x, y, learner, 4), mean)
+    for learner, pair, column in ((GLM, QuantilePairModel, LinearMean),
+                                  (RANDOM_FOREST, ForestQuantilePair, ForestMean)):
+        assert type(fit_quantile_pair(x, y, 0.1, 0.9, learner, 4)) is pair
+        assert isinstance(fit_propensity(x, labels, learner, 4).score, column)
+        assert isinstance(fit_conditional_cdf(x, y, 0.0, learner, 4).score, column)
+        assert isinstance(fit_mean(x, y, learner, 4), column)
+
+
+# ---- fit diagnostics ----------------------------------------------------------
+
+def _diagnostics(model):
+    assert type(model.degenerate) is bool
+    assert model.warning is None or type(model.warning) is str
+    return model.degenerate, model.warning
+
+
+@pytest.mark.parametrize("learner", [GLM, RANDOM_FOREST])
+def test_every_fit_carries_degenerate_and_warning(learner):
+    rng = make_rng(10)
+    x = rng.standard_normal((80, 2))
+    y = x[:, 0] + rng.standard_normal(80)
+    labels = (rng.random(80) < 0.5).astype(float)
+    fits = (fit_propensity(x, labels, learner, 1), fit_mean(x, y, learner, 1),
+            fit_quantile(x, y, 0.3, learner, 1), fit_quantile_pair(x, y, 0.1, 0.9, learner, 1),
+            fit_conditional_cdf(x, y, 0.0, learner, 1))
+    for model in fits:
+        degenerate, warning = _diagnostics(model)
+        assert not degenerate
+        if learner == RANDOM_FOREST:
+            assert warning is None
+
+    # single-class labels: a degenerate constant probability that says why
+    for model in (fit_propensity(x, np.ones(80), learner, 1),
+                  fit_conditional_cdf(x, y, y.min() - 1.0, learner, 1)):
+        assert _diagnostics(model) == (True, "single-class labels")
+
+    # constant targets: the pair is degenerate, with no warning
+    pair = fit_quantile_pair(x, np.full(80, 2.5), 0.1, 0.9, learner, 1)
+    assert _diagnostics(pair) == (True, None)
+    assert _diagnostics(fit_mean(x, np.full(80, 2.5), learner, 1))[1] is None
+    _diagnostics(fit_quantile(x, np.full(80, 2.5), 0.5, learner, 1))
+
+    # rank-deficient design
+    dup = np.column_stack([x, x[:, 0]])
+    degenerate, warning = _diagnostics(fit_mean(dup, y, learner, 1))
+    if learner == GLM:
+        assert (degenerate, warning) == (True, "rank-deficient design")
+    for model in (fit_propensity(dup, labels, learner, 1),
+                  fit_quantile_pair(dup, y, 0.1, 0.9, learner, 1)):
+        _diagnostics(model)
+
+
+def test_forest_quantile_is_the_forest_pooled_quantile():
+    rng = make_rng(11)
+    x = rng.standard_normal((150, 3))
+    y = x[:, 1] + rng.standard_normal(150)
+    x_new = rng.standard_normal((40, 3))
+    for level in (0.05, 0.5, 0.9):
+        got = fit_quantile(x, y, level, RANDOM_FOREST, 3).predict(x_new)
+        want = fit_forest(x, y, 3).predict_quantiles(x_new, level, level)[0]
+        assert np.array_equal(got, want)
