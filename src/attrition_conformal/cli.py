@@ -23,21 +23,25 @@ WORKERS_ENV = "ATTRITION_CONFORMAL_WORKERS"
 
 def _workers(args, parser) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads  # at least 1, checked by _run_config
     env = os.environ.get(WORKERS_ENV)
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
-        parser.error(f"{WORKERS_ENV} must be an integer, got {env!r}")
+        workers = 0
+    if workers < 1:
+        parser.error(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+    return workers
 
 
 def _run_config(args, parser) -> ConformalConfig:
-    """The run configuration; an out-of-range ``--reps``, ``--alpha`` or
-    ``--gamma`` is a usage error, found before any replicate runs."""
-    if args.reps < 1:
-        parser.error(f"--reps must be at least 1, got {args.reps}")
+    """The run configuration; an out-of-range ``--reps``, ``--threads``,
+    ``--alpha`` or ``--gamma`` is a usage error, found before any replicate runs."""
+    for flag, value in (("--reps", args.reps), ("--threads", args.threads)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
     try:
         return ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
                                learner=args.learner)

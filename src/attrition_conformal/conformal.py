@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .learners import MeanModel, fit_mean, fit_quantile_pair
+from .learners import fit_mean, fit_quantile_pair
 from .rng import make_rng
 
 # Relative slack when comparing cumulative weights against the target level;
@@ -123,8 +123,6 @@ class CalibratedBand:
     hi: np.ndarray
     eta: np.ndarray
     uninformative: np.ndarray  # True where eta = +inf
-    lo_model: MeanModel | None = None  # endpoint models of interval conformal
-    hi_model: MeanModel | None = None
 
 
 def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: float,
@@ -194,5 +192,4 @@ def unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi, x_test, gamma: fl
                             h_hi.predict(obs_x[ca]))
     eta = np.full(x_test.shape[0], unweighted_quantile(scores, 1.0 - gamma))
     lo, hi = expand_interval(h_lo.predict(x_test), h_hi.predict(x_test), eta)
-    return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=~np.isfinite(eta),
-                          lo_model=h_lo, hi_model=h_hi)
+    return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=~np.isfinite(eta))

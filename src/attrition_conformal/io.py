@@ -31,8 +31,9 @@ class ColumnMapping:
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
         object.__setattr__(self, "na_tokens", tuple(self.na_tokens))
         names = [self.outcome_col, self.treatment_col, self.response_col, *self.covariate_cols]
-        if len(set(names)) != len(names):
-            raise DataValidationError("column names in the mapping must be distinct")
+        repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+        if repeated is not None:
+            raise DataValidationError(f"the mapping names column {repeated!r} more than once")
         if not self.covariate_cols:
             raise DataValidationError("need at least one covariate column")
 
@@ -41,7 +42,8 @@ class ColumnMapping:
         """Read a mapping file: string column names, a non-empty list of
         covariate names and an optional list of NA tokens.  A missing key or
         a value of another type is a :class:`DataValidationError` naming the
-        file and the key."""
+        file and the key; a column named twice is one naming the file and
+        the column."""
         raw = {"na_tokens": ["", "NA"], **read_json_object(path)}
         for key, want in (("outcome", "a column name"), ("treatment", "a column name"),
                           ("response", "a column name"),
@@ -58,9 +60,12 @@ class ColumnMapping:
             if not ok:
                 raise DataValidationError(f"{path}: mapping key {key!r} holds {value!r}, "
                                           f"not {want}")
-        return cls(outcome_col=raw["outcome"], treatment_col=raw["treatment"],
-                   response_col=raw["response"], covariate_cols=raw["covariates"],
-                   na_tokens=raw["na_tokens"])
+        try:
+            return cls(outcome_col=raw["outcome"], treatment_col=raw["treatment"],
+                       response_col=raw["response"], covariate_cols=raw["covariates"],
+                       na_tokens=raw["na_tokens"])
+        except DataValidationError as exc:
+            raise DataValidationError(f"{path}: {exc}") from None
 
 
 def read_json_object(path) -> dict:

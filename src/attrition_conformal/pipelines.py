@@ -3,7 +3,7 @@ nested baseline, IPW for the observed group, and ATE aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -13,7 +13,7 @@ from .conformal import (cqr_score, expand_interval, interval_score,
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, SplitPlan, make_splits, validate_dataset)
 from .eif import counterfactual_terms, extrapolation_terms, initial_eta, solve_smallest_eta
-from .learners import (MeanModel, ProbabilityModel, fit_conditional_cdf, fit_mean,
+from .learners import (MeanModel, fit_conditional_cdf, fit_mean,
                        fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
 from .rng import child_seed, make_rng
 
@@ -26,51 +26,45 @@ def _role_seed(cfg_seed: int, role: int) -> int:
     return child_seed(cfg_seed, 1000 + role)
 
 
-@dataclass
-class Step1State:
-    """Everything produced by the counterfactual step of the two-step method."""
+def _ite_interval(arm: int, y: np.ndarray, cf_lo: np.ndarray,
+                  cf_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ITE interval of rows observed in ``arm`` with outcome ``y``, given
+    their counterfactual-arm interval [cf_lo, cf_hi]."""
+    if arm == 1:
+        return y - cf_hi, y - cf_lo
+    return cf_lo - y, cf_hi - y
 
-    cfg: ConformalConfig
-    q_models: dict
-    e_d_model: ProbabilityModel
-    e_r_model: ProbabilityModel
-    eta_init: dict
-    eta_solutions: dict
+
+@dataclass
+class CiseResult:
+    """Output of a pipeline run.
+
+    Step 1 fills the intervals of the observed calibration rows; the
+    two-step method also keeps its fitted quantile pairs and thresholds.
+    Step 2 adds the attrition-group intervals, their threshold and, for the
+    two-step method, the endpoint models that :meth:`extrapolate` uses.
+    """
+
     cal_obs_idx: np.ndarray    # calibration rows with r = 1, original indices
     c_cf_lo: np.ndarray        # counterfactual-arm interval per such row
     c_cf_hi: np.ndarray
     c_ite_lo: np.ndarray       # ITE interval per such row
     c_ite_hi: np.ndarray
-    flags: list = field(default_factory=list)
-
-    @property
-    def eta_hat(self) -> dict:
-        return {arm: sol.eta for arm, sol in self.eta_solutions.items()}
-
-
-@dataclass
-class CiseResult:
-    """Output of a full pipeline run: step-1 intervals, thresholds, and the
-    extrapolated attrition-group intervals with their expansion models."""
-
-    cal_obs_idx: np.ndarray
-    c_cf_lo: np.ndarray
-    c_cf_hi: np.ndarray
-    c_ite_lo: np.ndarray
-    c_ite_hi: np.ndarray
-    att_idx: np.ndarray
-    che_lo: np.ndarray
-    che_hi: np.ndarray
-    eta_alpha: dict
-    eta_gamma: float
-    h_lo_model: MeanModel | None
-    h_hi_model: MeanModel | None
+    q_models: dict = field(default_factory=dict)       # arm -> fitted quantile pair
+    eta_solutions: dict = field(default_factory=dict)  # arm -> EtaSolution
+    att_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    che_lo: np.ndarray = field(default_factory=lambda: np.empty(0))
+    che_hi: np.ndarray = field(default_factory=lambda: np.empty(0))
+    eta_gamma: float = math.nan
+    h_lo_model: MeanModel | None = None
+    h_hi_model: MeanModel | None = None
     flags: list = field(default_factory=list)
 
     def extrapolate(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Attrition-group interval at arbitrary covariates."""
         if self.h_lo_model is None:
-            raise RuntimeError("no extrapolation models (empty attrition set)")
+            raise RuntimeError("no extrapolation models: only a cise result whose "
+                               "step 2 ran on attrition rows keeps them")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return expand_interval(self.h_lo_model.predict(x), self.h_hi_model.predict(x),
                                self.eta_gamma)
@@ -80,9 +74,10 @@ def _arm_rows(ds: ExperimentDataset, fold: np.ndarray, arm: int) -> np.ndarray:
     return fold[(ds.r[fold] == 1) & (ds.d[fold] == arm)]
 
 
-def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> Step1State:
+def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> CiseResult:
     """Counterfactual step: nuisances on the pretraining fold, localized
-    conditional CDFs on the training subfolds, thresholds on calibration."""
+    conditional CDFs on the training subfolds, thresholds on calibration.
+    Returns a :class:`CiseResult` holding only the step-1 part."""
     validate_dataset(ds, require_both_arms=True)
     flags = []
 
@@ -113,16 +108,13 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
                 v[sel] = cqr_score(ds.y[rows[sel]], lo, hi)
         return v
 
-    eta_init = {}
     m_models = {}
     for arm in (0, 1):
-        tr1 = _arm_rows(ds, plan.train1, arm)
-        v1 = own_arm_scores(tr1)
-        eta_init[arm] = initial_eta(v1, 1.0 - cfg.alpha)
+        eta_init = initial_eta(own_arm_scores(_arm_rows(ds, plan.train1, arm)),
+                               1.0 - cfg.alpha)
         tr2 = _arm_rows(ds, plan.train2, arm)
-        v2 = own_arm_scores(tr2)
-        m_models[arm] = fit_conditional_cdf(ds.x[tr2], v2, eta_init[arm], cfg.learner,
-                                            _role_seed(cfg.seed, 4 + arm))
+        m_models[arm] = fit_conditional_cdf(ds.x[tr2], own_arm_scores(tr2), eta_init,
+                                            cfg.learner, _role_seed(cfg.seed, 4 + arm))
 
     cal = plan.calibration
     v_cal = own_arm_scores(cal)
@@ -160,67 +152,61 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         cf_lo, cf_hi = expand_interval(*q_models[cf].predict(ds.x[obs[sel]]),
                                        eta_solutions[cf].eta)
         c_cf_lo[sel], c_cf_hi[sel] = cf_lo, cf_hi
-        y = ds.y[obs[sel]]
-        if arm == 1:
-            c_ite_lo[sel], c_ite_hi[sel] = y - cf_hi, y - cf_lo
-        else:
-            c_ite_lo[sel], c_ite_hi[sel] = cf_lo - y, cf_hi - y
+        c_ite_lo[sel], c_ite_hi[sel] = _ite_interval(arm, ds.y[obs[sel]], cf_lo, cf_hi)
 
-    return Step1State(cfg=cfg, q_models=q_models, e_d_model=e_d_model,
-                      e_r_model=e_r_model, eta_init=eta_init,
-                      eta_solutions=eta_solutions, cal_obs_idx=obs,
-                      c_cf_lo=c_cf_lo, c_cf_hi=c_cf_hi,
-                      c_ite_lo=c_ite_lo, c_ite_hi=c_ite_hi, flags=flags)
+    return CiseResult(cal_obs_idx=obs, c_cf_lo=c_cf_lo, c_cf_hi=c_cf_hi,
+                      c_ite_lo=c_ite_lo, c_ite_hi=c_ite_hi, q_models=q_models,
+                      eta_solutions=eta_solutions, flags=flags)
 
 
-def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
+def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
                cfg: ConformalConfig) -> CiseResult:
-    """Extrapolation step: expand the step-1 ITE intervals to attrited rows."""
+    """Extrapolation step: expand the step-1 ITE intervals to attrited rows.
+    Returns ``state`` with the step-2 part filled in."""
     flags = list(state.flags)
     att = np.flatnonzero(ds.r == 0)
+    lo, hi = state.c_ite_lo, state.c_ite_hi
 
-    finite = np.isfinite(state.c_ite_lo) & np.isfinite(state.c_ite_hi)
+    finite = np.isfinite(lo) & np.isfinite(hi)
     if finite.sum() < 8:
         raise InsufficientDataError("step 1 produced fewer than 8 finite ITE intervals")
 
     if att.size == 0:
         flags.append("no attrition rows; extrapolation skipped")
-        return CiseResult(cal_obs_idx=state.cal_obs_idx, c_cf_lo=state.c_cf_lo,
-                          c_cf_hi=state.c_cf_hi, c_ite_lo=state.c_ite_lo,
-                          c_ite_hi=state.c_ite_hi, att_idx=att,
-                          che_lo=np.empty(0), che_hi=np.empty(0),
-                          eta_alpha=state.eta_hat, eta_gamma=math.nan,
-                          h_lo_model=None, h_hi_model=None, flags=flags)
+        return replace(state, att_idx=att, flags=flags)
 
-    pos = {int(row): i for i, row in enumerate(state.cal_obs_idx)}
+    pos_of = {int(row): i for i, row in enumerate(state.cal_obs_idx)}
     obstr = plan.step2_train
     obsca = plan.step2_cal
     if obstr.size == 0 or obsca.size == 0:
         raise InsufficientDataError("empty step-2 fold")
-    tr_pos = np.array([pos[int(r)] for r in obstr], dtype=np.int64)
-    ca_pos = np.array([pos[int(r)] for r in obsca], dtype=np.int64)
+    tr_pos = np.array([pos_of[int(r)] for r in obstr], dtype=np.int64)
+    ca_pos = np.array([pos_of[int(r)] for r in obsca], dtype=np.int64)
 
     # Endpoint models can only learn from finite surrogate intervals; rows
     # with an unbounded step-1 interval keep a +inf score and stay in the
     # moment, where they honestly count as never covered.
-    tr_finite = np.isfinite(state.c_ite_lo[tr_pos]) & np.isfinite(state.c_ite_hi[tr_pos])
-    if tr_finite.sum() < obstr.size:
-        flags.append(f"{int(obstr.size - tr_finite.sum())} unbounded surrogates "
-                     "excluded from endpoint fits")
-    h_lo = fit_mean(ds.x[obstr[tr_finite]], state.c_ite_lo[tr_pos[tr_finite]], cfg.learner,
-                    _role_seed(cfg.seed, 6))
-    h_hi = fit_mean(ds.x[obstr[tr_finite]], state.c_ite_hi[tr_pos[tr_finite]], cfg.learner,
-                    _role_seed(cfg.seed, 7))
+    def fit_endpoints(pos: np.ndarray, lo_role: int, hi_role: int) -> tuple:
+        pos = pos[finite[pos]]
+        x = ds.x[state.cal_obs_idx[pos]]
+        return (fit_mean(x, lo[pos], cfg.learner, _role_seed(cfg.seed, lo_role)),
+                fit_mean(x, hi[pos], cfg.learner, _role_seed(cfg.seed, hi_role)))
+
+    def scores(endpoints: tuple, pos: np.ndarray) -> np.ndarray:
+        x = ds.x[state.cal_obs_idx[pos]]
+        return interval_score(lo[pos], hi[pos], endpoints[0].predict(x),
+                              endpoints[1].predict(x))
+
+    n_unbounded = int(obstr.size - finite[tr_pos].sum())
+    if n_unbounded:
+        flags.append(f"{n_unbounded} unbounded surrogates excluded from endpoint fits")
+    h_lo, h_hi = fit_endpoints(tr_pos, 6, 7)
 
     # P(R | X, D) needs both classes; the step-2 training fold has none with
     # r = 0, so the attrition rows join the fit.
     pi_rows = np.concatenate([obstr, att])
     pi_model = fit_propensity(_with_treatment(ds.x[pi_rows], ds.d[pi_rows]),
                               ds.r[pi_rows], cfg.learner, _role_seed(cfg.seed, 8))
-
-    def v_c(rows_pos: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return interval_score(state.c_ite_lo[rows_pos], state.c_ite_hi[rows_pos],
-                              h_lo.predict(ds.x[rows]), h_hi.predict(ds.x[rows]))
 
     # The localized CDF needs out-of-sample scores: endpoint models evaluated
     # on their own fitting rows understate the nonconformity, which drags the
@@ -230,16 +216,8 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
     perm = make_rng(child_seed(cfg.seed, 11)).permutation(obstr.size)
     halves = (perm[:obstr.size // 2], perm[obstr.size // 2:])
     for a, b in ((0, 1), (1, 0)):
-        fit_rows, fit_pos = obstr[halves[a]], tr_pos[halves[a]]
-        fin = np.isfinite(state.c_ite_lo[fit_pos]) & np.isfinite(state.c_ite_hi[fit_pos])
-        g_lo = fit_mean(ds.x[fit_rows[fin]], state.c_ite_lo[fit_pos[fin]], cfg.learner,
-                        _role_seed(cfg.seed, 12 + a))
-        g_hi = fit_mean(ds.x[fit_rows[fin]], state.c_ite_hi[fit_pos[fin]], cfg.learner,
-                        _role_seed(cfg.seed, 14 + a))
-        out_rows, out_pos = obstr[halves[b]], tr_pos[halves[b]]
-        v_tr[halves[b]] = interval_score(state.c_ite_lo[out_pos], state.c_ite_hi[out_pos],
-                                         g_lo.predict(ds.x[out_rows]),
-                                         g_hi.predict(ds.x[out_rows]))
+        v_tr[halves[b]] = scores(fit_endpoints(tr_pos[halves[a]], 12 + a, 14 + a),
+                                 tr_pos[halves[b]])
     eta_init_c = initial_eta(v_tr[np.isfinite(v_tr)], 1.0 - cfg.gamma)
 
     m_c = fit_conditional_cdf(_with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, eta_init_c,
@@ -247,7 +225,7 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
 
     solve_rows = np.concatenate([obsca, att])
     v_solve = np.full(solve_rows.size, np.nan)
-    v_solve[:obsca.size] = v_c(ca_pos, obsca)
+    v_solve[:obsca.size] = scores((h_lo, h_hi), ca_pos)
     e_r = pi_model.predict_proba(_with_treatment(ds.x[solve_rows], ds.d[solve_rows]))
     # same target-level floor as in step 1 (see the comment there)
     m_hat = np.maximum(m_c.predict_proba(_with_treatment(ds.x[solve_rows], ds.d[solve_rows])),
@@ -259,12 +237,8 @@ def cise_step2(state: Step1State, ds: ExperimentDataset, plan: SplitPlan,
 
     che_lo, che_hi = expand_interval(h_lo.predict(ds.x[att]), h_hi.predict(ds.x[att]),
                                      sol.eta)
-
-    return CiseResult(cal_obs_idx=state.cal_obs_idx, c_cf_lo=state.c_cf_lo,
-                      c_cf_hi=state.c_cf_hi, c_ite_lo=state.c_ite_lo,
-                      c_ite_hi=state.c_ite_hi, att_idx=att, che_lo=che_lo,
-                      che_hi=che_hi, eta_alpha=state.eta_hat, eta_gamma=sol.eta,
-                      h_lo_model=h_lo, h_hi_model=h_hi, flags=flags)
+    return replace(state, att_idx=att, che_lo=che_lo, che_hi=che_hi, eta_gamma=sol.eta,
+                   h_lo_model=h_lo, h_hi_model=h_hi, flags=flags)
 
 
 def run_cise(ds: ExperimentDataset, cfg: ConformalConfig) -> CiseResult:
@@ -278,7 +252,8 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
                          exact: bool = True) -> CiseResult:
     """Nested weighted-CQR baseline: counterfactual intervals by weighted
     split CQR on one half of the observed rows, then an unweighted second
-    conformal step (exact) or direct endpoint-quantile fits (inexact)."""
+    conformal step (exact) or direct endpoint-quantile fits (inexact).
+    The result keeps no models, so it cannot :meth:`~CiseResult.extrapolate`."""
     validate_dataset(ds, require_both_arms=True)
     flags = []
     obs = np.flatnonzero(ds.r == 1)
@@ -307,16 +282,12 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
         if tr.size == 0 or ca.size == 0:
             raise InsufficientDataError(f"too few arm-{cf} rows for weighted CQR")
 
-        if cf == 0:
-            def weight_fn(x):
-                p = e_d_model.predict_proba(x)
-                return p / (1.0 - p)
-        else:
-            def weight_fn(x):
-                p = e_d_model.predict_proba(x)
-                return (1.0 - p) / p
+        def weight_fn(x):  # covariate shift from arm cf to arm: P(D = arm | x) / P(D = cf | x)
+            p = e_d_model.predict_proba(x)
+            return p / (1.0 - p) if cf == 0 else (1.0 - p) / p
 
-        test = z2[ds.d[z2] == arm]
+        sel = ds.d[z2] == arm
+        test = z2[sel]
         # unreachable weighted quantiles fall back to the largest score so
         # the baseline keeps producing (very wide) finite intervals
         band = weighted_split_cqr_batch(ds.x[tr], ds.y[tr], ds.x[ca], ds.y[ca],
@@ -324,49 +295,32 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
                                         _role_seed(cfg.seed, 22 + arm), cap_at_max=True)
         if band.uninformative.any():
             flags.append(f"{int(band.uninformative.sum())} capped counterfactual intervals (arm {cf})")
-        sel = ds.d[z2] == arm
-        y = ds.y[test]
-        if arm == 1:
-            c_ite_lo[sel], c_ite_hi[sel] = y - band.hi, y - band.lo
-        else:
-            c_ite_lo[sel], c_ite_hi[sel] = band.lo - y, band.hi - y
+        c_ite_lo[sel], c_ite_hi[sel] = _ite_interval(arm, ds.y[test], band.lo, band.hi)
 
-    eta_gamma = math.nan
-    h_lo_model = h_hi_model = None
+    result = CiseResult(cal_obs_idx=z2, c_cf_lo=np.full(z2.size, np.nan),
+                        c_cf_hi=np.full(z2.size, np.nan), c_ite_lo=c_ite_lo,
+                        c_ite_hi=c_ite_hi, att_idx=att, flags=flags)
     if att.size == 0:
-        flags.append("no attrition rows; extrapolation skipped")
-        che_lo = np.empty(0)
-        che_hi = np.empty(0)
-    else:
-        finite = np.isfinite(c_ite_lo) & np.isfinite(c_ite_hi)
-        if finite.sum() < 4:
-            raise InsufficientDataError("too few finite baseline ITE intervals")
-        fz = z2[finite]
-        flo = c_ite_lo[finite]
-        fhi = c_ite_hi[finite]
-        if exact:
-            band = unweighted_interval_conformal_batch(
-                ds.x[fz], flo, fhi, ds.x[att], cfg.gamma, cfg.learner,
-                _role_seed(cfg.seed, 24), _role_seed(cfg.seed, 25), child_seed(cfg.seed, 5))
-            if band.uninformative.any():
-                flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
-            eta_gamma = float(band.eta[0])
-            che_lo, che_hi = band.lo, band.hi
-            h_lo_model, h_hi_model = band.lo_model, band.hi_model
-        else:
-            h_lo_model = fit_quantile(ds.x[fz], flo, cfg.gamma / 2.0, cfg.learner,
-                                      _role_seed(cfg.seed, 26))
-            h_hi_model = fit_quantile(ds.x[fz], fhi, 1.0 - cfg.gamma / 2.0, cfg.learner,
-                                      _role_seed(cfg.seed, 27))
-            eta_gamma = 0.0
-            che_lo, che_hi = repair_crossing(h_lo_model.predict(ds.x[att]),
-                                             h_hi_model.predict(ds.x[att]))
-
-    return CiseResult(cal_obs_idx=z2, c_cf_lo=np.full(z2.size, np.nan),
-                      c_cf_hi=np.full(z2.size, np.nan), c_ite_lo=c_ite_lo,
-                      c_ite_hi=c_ite_hi, att_idx=att, che_lo=che_lo, che_hi=che_hi,
-                      eta_alpha={}, eta_gamma=eta_gamma,
-                      h_lo_model=h_lo_model, h_hi_model=h_hi_model, flags=flags)
+        result.flags.append("no attrition rows; extrapolation skipped")
+        return result
+    finite = np.isfinite(c_ite_lo) & np.isfinite(c_ite_hi)
+    if finite.sum() < 4:
+        raise InsufficientDataError("too few finite baseline ITE intervals")
+    fz = z2[finite]
+    flo = c_ite_lo[finite]
+    fhi = c_ite_hi[finite]
+    if exact:
+        band = unweighted_interval_conformal_batch(
+            ds.x[fz], flo, fhi, ds.x[att], cfg.gamma, cfg.learner,
+            _role_seed(cfg.seed, 24), _role_seed(cfg.seed, 25), child_seed(cfg.seed, 5))
+        if band.uninformative.any():
+            result.flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
+        return replace(result, che_lo=band.lo, che_hi=band.hi, eta_gamma=float(band.eta[0]))
+    q_lo = fit_quantile(ds.x[fz], flo, cfg.gamma / 2.0, cfg.learner, _role_seed(cfg.seed, 26))
+    q_hi = fit_quantile(ds.x[fz], fhi, 1.0 - cfg.gamma / 2.0, cfg.learner,
+                        _role_seed(cfg.seed, 27))
+    che_lo, che_hi = repair_crossing(q_lo.predict(ds.x[att]), q_hi.predict(ds.x[att]))
+    return replace(result, che_lo=che_lo, che_hi=che_hi, eta_gamma=0.0)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from scipy.special import ndtr, ndtri
 
 from attrition_conformal.cli import main as cli_main
 from attrition_conformal.conformal import ScoreSet, weighted_quantile, weighted_split_cqr_batch
-from attrition_conformal.data import ConformalConfig, ExperimentDataset, make_splits
+from attrition_conformal.data import ConformalConfig, ExperimentDataset
 from attrition_conformal.eif import (counterfactual_terms, extrapolation_terms, psi_eval,
                                      solve_smallest_eta)
-from attrition_conformal.pipelines import cise_step1, run_cise
+from attrition_conformal.pipelines import run_cise
 from attrition_conformal.rng import make_rng
 from attrition_conformal.simulation import (DgpSpec, dgp1_e_d, dgp1_e_r,
                                             gen_dgp1, oracle_interval, run_mc)
@@ -305,15 +305,13 @@ def test_criterion_9_extrapolation_nesting():
         res = run_cise(ds2, cfg)
         if not math.isfinite(res.eta_gamma):
             continue
-        plan = make_splits(ds2.n, ds2.r, cfg)
-        state = cise_step1(ds2, plan, cfg)
         for arm in (0, 1):
             rows = pseudo[ds.d[pseudo] == arm]
-            if rows.size == 0 or not math.isfinite(state.eta_solutions[1 - arm].eta):
+            if rows.size == 0 or not math.isfinite(res.eta_solutions[1 - arm].eta):
                 continue
             cf = 1 - arm
-            qlo, qhi = state.q_models[cf].predict(ds.x[rows])
-            eta = state.eta_solutions[cf].eta
+            qlo, qhi = res.q_models[cf].predict(ds.x[rows])
+            eta = res.eta_solutions[cf].eta
             cf_lo, cf_hi = qlo - eta, qhi + eta
             y = ds.y[rows]
             if arm == 1:

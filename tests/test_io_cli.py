@@ -58,9 +58,24 @@ def test_load_csv_nonnumeric_covariate_names_column(tmp_path):
 
 
 def test_mapping_requires_distinct_names():
-    with pytest.raises(DataValidationError):
+    with pytest.raises(DataValidationError, match="'y'"):
         ColumnMapping(outcome_col="y", treatment_col="y", response_col="r",
                       covariate_cols=("x1",))
+
+
+@pytest.mark.parametrize("key, value, column", [("treatment", "y", "y"),
+                                                ("covariates", ["x1", "x1"], "x1")])
+def test_mapping_naming_a_column_twice_is_data_error(tmp_path, capsys, key, value, column):
+    data = tmp_path / "small.csv"
+    data.write_text("x1,d,r,y\n0.5,1,1,2.5\n0.1,0,0,NA\n")
+    map_path = tmp_path / "m.json"
+    map_path.write_text(json.dumps({"outcome": "y", "treatment": "d", "response": "r",
+                                    "covariates": ["x1"], key: value}))
+    rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "m.json" in err and repr(column) in err
 
 
 @pytest.mark.parametrize("key, value", [("covariates", "x1"), ("covariates", []),
@@ -270,11 +285,12 @@ def test_worker_env_override(monkeypatch, capsys):
     monkeypatch.setenv(WORKERS_ENV, "3")
     assert _workers(SimpleNamespace(threads=None), parser) == 3
     assert _workers(SimpleNamespace(threads=2), parser) == 2  # flag beats the env var
-    monkeypatch.setenv(WORKERS_ENV, "two")
-    with pytest.raises(SystemExit) as exc:
-        _workers(SimpleNamespace(threads=None), parser)
-    assert exc.value.code == 2  # a usage error, not a numerical failure
-    assert WORKERS_ENV in capsys.readouterr().err
+    for bad in ("two", "0"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        with pytest.raises(SystemExit) as exc:
+            _workers(SimpleNamespace(threads=None), parser)
+        assert exc.value.code == 2  # a usage error, not a numerical failure
+        assert WORKERS_ENV in capsys.readouterr().err
     monkeypatch.delenv(WORKERS_ENV)
     assert _workers(SimpleNamespace(threads=None), parser) == 1
 
@@ -374,6 +390,8 @@ ANALYZE = ["analyze", "--data", "never-read.csv", "--map", "never-read.json",
     ANALYZE + ["--reps", "0"],
     ANALYZE + ["--alpha", "1.5"],
     ANALYZE + ["--gamma", "-0.1"],
+    SIMULATE + ["--threads", "0"],
+    ANALYZE + ["--threads", "0"],
 ], ids=lambda argv: " ".join([argv[0]] + argv[len(SIMULATE if argv[0] == "simulate"
                                                       else ANALYZE):]))
 def test_out_of_range_option_is_usage_error(tmp_path, monkeypatch, argv):

@@ -5,11 +5,11 @@ import pytest
 
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, make_splits)
-from attrition_conformal.pipelines import (aggregate_ate, cise_step1, cise_step2,
-                                           ipw_ate, run_cise,
+from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
+                                           cise_step2, ipw_ate, run_cise,
                                            wcqr_nested_baseline)
 from attrition_conformal.rng import make_rng
-from attrition_conformal.simulation import DgpSpec, compute_metrics, gen_dgp1
+from attrition_conformal.simulation import DgpSpec, compute_metrics, gen_dgp1, generate
 
 def _linear_draw(n=600, attrition=True, noise=1.0, seed=0):
     """Simple linear DGP with known potential outcomes for pipeline checks."""
@@ -96,6 +96,24 @@ def test_cise_step2_zero_attrition():
     assert res.c_ite_lo.size > 0
 
 
+def test_run_cise_keeps_the_step1_part_bitwise():
+    # the full run returns the same step-1 fields that step 1 alone returns
+    ds, _ = _linear_draw(seed=9)
+    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
+    step1 = cise_step1(ds, make_splits(ds.n, ds.r, cfg), cfg)
+    res = run_cise(ds, cfg)
+    for name in ("cal_obs_idx", "c_cf_lo", "c_cf_hi", "c_ite_lo", "c_ite_hi"):
+        assert np.array_equal(getattr(res, name), getattr(step1, name)), name
+    assert res.eta_solutions == step1.eta_solutions
+    for arm in (0, 1):
+        for got, want in zip(res.q_models[arm].predict(ds.x), step1.q_models[arm].predict(ds.x)):
+            assert np.array_equal(got, want)
+    # step 1 alone leaves the step-2 part empty
+    assert step1.att_idx.size == 0 and step1.che_lo.size == 0 and math.isnan(step1.eta_gamma)
+    with pytest.raises(RuntimeError, match="no extrapolation models"):
+        step1.extrapolate(ds.x[:3])
+
+
 def test_cise_constant_surrogates_expand_nonnegatively():
     ds, _ = _linear_draw(seed=21)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=13)
@@ -112,8 +130,6 @@ def test_cise_step2_constant_surrogates_hand_fixture():
     # zero scores everywhere; the moment's indicator part is constant and
     # already nonnegative at the first candidate, so eta_gamma = 0 and the
     # expansion returns [a, b] itself
-    from attrition_conformal.pipelines import Step1State
-
     rng = make_rng(71)
     n = 60
     x = rng.standard_normal((n, 2))
@@ -126,8 +142,7 @@ def test_cise_step2_constant_surrogates_hand_fixture():
     plan = make_splits(ds.n, ds.r, cfg)
     obs = plan.calibration[ds.r[plan.calibration] == 1]
     a, b = -1.5, 2.5
-    state = Step1State(cfg=cfg, q_models={}, e_d_model=None, e_r_model=None,
-                       eta_init={}, eta_solutions={}, cal_obs_idx=obs,
+    state = CiseResult(cal_obs_idx=obs,
                        c_cf_lo=np.full(obs.size, a), c_cf_hi=np.full(obs.size, b),
                        c_ite_lo=np.full(obs.size, a), c_ite_hi=np.full(obs.size, b))
     res = cise_step2(state, ds, plan, cfg)
@@ -170,15 +185,13 @@ def test_extrapolation_nesting_on_holdout():
         # rebuild the surrogate interval each pseudo row would have received
         # in step 1, from the same run's fitted models and thresholds
         d = ds.d[pseudo]
-        plan = make_splits(ds2.n, ds2.r, cfg)
-        state = cise_step1(ds2, plan, cfg)
         for arm in (0, 1):
             rows = pseudo[d == arm]
             if rows.size == 0:
                 continue
             cf = 1 - arm
-            qlo, qhi = state.q_models[cf].predict(ds.x[rows])
-            eta = state.eta_solutions[cf].eta
+            qlo, qhi = res.q_models[cf].predict(ds.x[rows])
+            eta = res.eta_solutions[cf].eta
             if not math.isfinite(eta):
                 continue
             cf_lo, cf_hi = qlo - eta, qhi + eta
@@ -210,6 +223,20 @@ def test_wcqr_inexact_variant_produces_intervals():
     res = wcqr_nested_baseline(ds, cfg, exact=False)
     assert res.che_lo.size == res.att_idx.size
     assert (res.che_lo <= res.che_hi).all()
+
+
+@pytest.mark.parametrize("kind, seed, exact", [("dgp2", 1, False), ("dgp2", 1, True),
+                                              ("dgp1", 4, False)])
+def test_baselines_cannot_extrapolate(kind, seed, exact):
+    # the baselines keep no endpoint models; on dgp2 seed 1 the inexact
+    # baseline's raw endpoint quantiles cross on some rows, which only its
+    # reported (repaired) intervals account for
+    ds = generate(DgpSpec(kind, n=300, seed=seed)).dataset
+    res = wcqr_nested_baseline(ds, ConformalConfig(seed=seed), exact=exact)
+    assert res.att_idx.size > 0
+    assert (res.che_lo <= res.che_hi).all()
+    with pytest.raises(RuntimeError, match="no extrapolation models"):
+        res.extrapolate(ds.x[res.att_idx])
 
 
 def test_wcqr_noiseless_linear_contains_truth():

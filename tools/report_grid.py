@@ -1,0 +1,76 @@
+"""Write a fixed grid of CLI reports, for byte-identity checks between two checkouts.
+
+    PYTHONPATH=<checkout>/src python tools/report_grid.py OUT
+
+runs the package CLI (whichever ``attrition_conformal`` is on the path)
+over a fixed set of commands and writes 38 files under OUT besides the run
+manifests:
+
+- ``simulate`` on dgp1, dgp2 and appendixE with each method, glm, n=400,
+  3 reps;
+- each method with random_forest on dgp1, n=300, 1 rep;
+- ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps), and
+  with cise and wcqr_nested_inexact using random_forest (2 reps), plus the
+  CSV and its mapping file;
+- ``report`` over the glm ``simulate`` outputs.
+
+Run it against two checkouts and compare with ``diff -r -x manifest.json``;
+manifests carry timestamps and wall times, so they always differ.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from attrition_conformal.cli import main
+from attrition_conformal.io import save_csv
+from attrition_conformal.simulation import METHODS, DgpSpec, generate
+
+SEED = 13
+LEVELS = ["--alpha", "0.05", "--gamma", "0.05"]
+
+
+def _run(argv: list) -> None:
+    rc = main(argv)
+    if rc != 0:
+        raise SystemExit(f"exit {rc}: {' '.join(argv)}")
+
+
+def build_grid(out: Path) -> None:
+    glm_runs = []
+    for dgp in ("dgp1", "dgp2", "appendixE"):
+        for method in METHODS:
+            run = out / "simulate" / f"{dgp}_{method}_glm"
+            _run(["simulate", "--dgp", dgp, "--n", "400", "--reps", "3", "--method", method,
+                  "--learner", "glm", "--seed", str(SEED), *LEVELS, "--out", str(run)])
+            glm_runs.append(run / "mc_report.json")
+    for method in METHODS:
+        _run(["simulate", "--dgp", "dgp1", "--n", "300", "--reps", "1", "--method", method,
+              "--learner", "random_forest", "--seed", str(SEED), *LEVELS,
+              "--out", str(out / "simulate" / f"dgp1_{method}_rf")])
+
+    data_dir = out / "analyze"
+    data_dir.mkdir(parents=True, exist_ok=True)
+    data, map_path = data_dir / "data.csv", data_dir / "map.json"
+    mapping = save_csv(generate(DgpSpec(kind="dgp1", n=600, seed=SEED)).dataset, data)
+    map_path.write_text(json.dumps({"outcome": mapping.outcome_col,
+                                    "treatment": mapping.treatment_col,
+                                    "response": mapping.response_col,
+                                    "covariates": list(mapping.covariate_cols)}),
+                        encoding="utf-8")
+    analyses = [(m, "glm", 3) for m in METHODS]
+    analyses += [("cise", "random_forest", 2), ("wcqr_nested_inexact", "random_forest", 2)]
+    for method, learner, reps in analyses:
+        _run(["analyze", "--data", str(data), "--map", str(map_path), "--method", method,
+              "--learner", learner, "--reps", str(reps), "--seed", str(SEED), *LEVELS,
+              "--out", str(data_dir / f"{method}_{learner}")])
+
+    _run(["report", "--in", *map(str, glm_runs), "--out", str(out / "report")])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    build_grid(Path(sys.argv[1]))
