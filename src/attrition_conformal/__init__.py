@@ -12,8 +12,7 @@ from .conformal import (ScoreSet, cqr_score, interval_score,
                         unweighted_interval_conformal_batch, weighted_quantile,
                         weighted_split_cqr_batch)
 from .data import (LEARNERS, ConformalConfig, DataValidationError, ExperimentDataset,
-                   InsufficientDataError, SplitPlan, ValidationReport, make_splits,
-                   validate_dataset)
+                   InsufficientDataError, SplitPlan, make_splits)
 from .eif import (EtaSolution, PsiTerms, counterfactual_terms, extrapolation_terms,
                   initial_eta, psi_eval, solve_smallest_eta)
 from .learners import (fit_conditional_cdf, fit_mean, fit_propensity, fit_quantile,

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .learners import fit_mean, fit_quantile_pair
+from .learners import fit_mean, fit_quantile_pair, repair_crossing
 from .rng import make_rng
 
 # Relative slack when comparing cumulative weights against the target level;
@@ -110,9 +110,14 @@ def weighted_quantile(ss: ScoreSet, level: float) -> float:
 
 
 def expand_interval(lo, hi, eta) -> tuple[np.ndarray, np.ndarray]:
-    """[lo - eta, hi + eta], or (-inf, +inf) where eta is not finite."""
+    """[lo - eta, hi + eta], or (-inf, +inf) where eta is not finite.
+
+    A negative eta can cross the ends; that conformal set is empty and is
+    shown as the point at its midpoint, as quantile crossings are.
+    """
     finite = np.isfinite(eta)
-    return np.where(finite, lo - eta, -math.inf), np.where(finite, hi + eta, math.inf)
+    return repair_crossing(np.where(finite, lo - eta, -math.inf),
+                           np.where(finite, hi + eta, math.inf))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,11 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 class ExperimentDataset:
     """Rows of (covariates x, treatment d, response r, outcome y observed iff r=1).
 
-    ``y`` is NaN exactly where ``r == 0``.  Arrays are frozen after
-    construction and safe to share across parallel workers.
+    Construction checks the whole data model: x is finite, d and r are 0 or
+    1 as given, and y is NaN exactly where ``r == 0`` and finite where
+    ``r == 1``.  A violation is a :class:`DataValidationError` naming the
+    first five offending rows.  Arrays are frozen after construction and
+    safe to share across parallel workers.
     """
 
     x: np.ndarray
@@ -38,8 +41,8 @@ class ExperimentDataset:
 
     def __post_init__(self):
         x = _as_readonly(np.asarray(self.x, dtype=np.float64))
-        d = _as_readonly(np.asarray(self.d, dtype=np.int64))
-        r = _as_readonly(np.asarray(self.r, dtype=np.int64))
+        d = np.asarray(self.d)
+        r = np.asarray(self.r)
         y = _as_readonly(np.asarray(self.y, dtype=np.float64))
         if x.ndim != 2:
             raise DataValidationError("covariates must be a 2-d matrix")
@@ -48,11 +51,18 @@ class ExperimentDataset:
             raise DataValidationError("need at least one row and one covariate column")
         if not (d.shape == r.shape == y.shape == (n,)):
             raise DataValidationError("d, r, y must be vectors of length n")
-        if not np.isfinite(x).all():
-            raise DataValidationError("non-finite covariate values")
+        y_missing = np.isnan(y)
+        for bad, what in ((~np.isfinite(x).all(axis=1), "non-finite covariate values at"),
+                          (~np.isin(d, (0, 1)), "non-binary treatment at"),
+                          (~np.isin(r, (0, 1)), "non-binary response at"),
+                          (~y_missing & (r == 0), "outcome present on attrited"),
+                          (y_missing & (r == 1), "outcome missing on responding"),
+                          (np.isinf(y), "non-finite outcome on responding")):
+            if bad.any():
+                raise DataValidationError(f"{what} rows {np.flatnonzero(bad)[:5].tolist()}")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", _as_readonly(np.asarray(d, dtype=np.int64)))
+        object.__setattr__(self, "r", _as_readonly(np.asarray(r, dtype=np.int64)))
         object.__setattr__(self, "y", y)
 
     @property
@@ -118,52 +128,6 @@ class SplitPlan:
     def __post_init__(self):
         for name in ("pretrain", "train1", "train2", "calibration", "step2_train", "step2_cal"):
             object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), dtype=np.int64)))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    n: int
-    cell_counts: dict
-    warnings: tuple
-
-
-def validate_dataset(ds: ExperimentDataset, require_both_arms: bool = False) -> ValidationReport:
-    """Check the observation pattern and Table-1 structure of a dataset.
-
-    Structural violations (y present with r=0, y missing or infinite with
-    r=1, non-binary d/r) raise :class:`DataValidationError`; empty (d, r) cells are reported
-    as warnings.
-    """
-    bad_d = ~np.isin(ds.d, (0, 1))
-    bad_r = ~np.isin(ds.r, (0, 1))
-    if bad_d.any():
-        raise DataValidationError(f"non-binary treatment at rows {np.flatnonzero(bad_d)[:5].tolist()}")
-    if bad_r.any():
-        raise DataValidationError(f"non-binary response at rows {np.flatnonzero(bad_r)[:5].tolist()}")
-    y_present = ~np.isnan(ds.y)
-    extra = y_present & (ds.r == 0)
-    missing = ~y_present & (ds.r == 1)
-    if extra.any():
-        raise DataValidationError(f"outcome present on attrited rows {np.flatnonzero(extra)[:5].tolist()}")
-    if missing.any():
-        raise DataValidationError(f"outcome missing on responding rows {np.flatnonzero(missing)[:5].tolist()}")
-    infinite = np.isinf(ds.y)
-    if infinite.any():
-        raise DataValidationError(f"non-finite outcome on responding rows {np.flatnonzero(infinite)[:5].tolist()}")
-    counts = {}
-    warnings = []
-    for d in (0, 1):
-        for r in (0, 1):
-            counts[(d, r)] = int(np.sum((ds.d == d) & (ds.r == r)))
-    # only empty observed-arm cells block inference; an empty attrition
-    # group is a legitimate dataset
-    for d in (0, 1):
-        if counts[(d, 1)] == 0:
-            warnings.append(f"no D={d},R=1 cell")
-    if require_both_arms:
-        if counts[(0, 1)] == 0 or counts[(1, 1)] == 0:
-            raise DataValidationError("counterfactual inference needs both treatment arms among r=1 rows")
-    return ValidationReport(n=ds.n, cell_counts=counts, warnings=tuple(warnings))
 
 
 def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> SplitPlan:

@@ -91,11 +91,13 @@ def _parse_number(token: str | None, row: int, col: str) -> float:
 
 
 def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
-    """Parse a header-bearing CSV into a validated dataset.
+    """Parse a header-bearing CSV into a dataset.
 
-    The outcome may be an NA token exactly where the response is 0; NA on a
-    responding row, non-numeric covariates, and non-binary indicator columns
-    are hard errors naming the row or column.
+    An outcome that is one of the mapping's NA tokens reads as NaN.  Every
+    error names the file: a missing or repeated mapped column, a row with
+    too few or too many fields and a non-numeric value also name the row or
+    column, and the dataset's own checks (binary indicators, an outcome
+    exactly on responding rows, finite values) name the rows.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -113,33 +115,23 @@ def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
             raise DataValidationError(f"{path}: the header names column {repeated[0]!r} "
                                       "more than once")
         xs, ds_, rs, ys = [], [], [], []
-        for i, rec in enumerate(reader):
-            if None in rec:  # csv.DictReader files a long row's extra fields under None
-                raise DataValidationError(f"{path}: data row {i} has {len(rec[None])} more "
-                                          "fields than the header")
-            r_val = _parse_number(rec[mapping.response_col], i, mapping.response_col)
-            if r_val not in (0.0, 1.0):
-                raise DataValidationError(f"non-binary response at data row {i}")
-            d_val = _parse_number(rec[mapping.treatment_col], i, mapping.treatment_col)
-            if d_val not in (0.0, 1.0):
-                raise DataValidationError(f"non-binary treatment at data row {i}")
-            y_tok = rec[mapping.outcome_col]
-            if y_tok in mapping.na_tokens:
-                if r_val == 1.0:
-                    raise DataValidationError(f"missing outcome on responding data row {i}")
-                y_val = math.nan
-            else:
-                y_val = _parse_number(y_tok, i, mapping.outcome_col)
-                if r_val == 0.0:
-                    raise DataValidationError(f"outcome present on attrited data row {i}")
-            xs.append([_parse_number(rec[c], i, c) for c in mapping.covariate_cols])
-            ds_.append(int(d_val))
-            rs.append(int(r_val))
-            ys.append(y_val)
-    if not xs:
-        raise DataValidationError(f"{path}: no data rows")
-    return ExperimentDataset(x=np.asarray(xs), d=np.asarray(ds_), r=np.asarray(rs),
-                             y=np.asarray(ys))
+        try:
+            for i, rec in enumerate(reader):
+                if None in rec:  # csv.DictReader files a long row's extra fields under None
+                    raise DataValidationError(f"data row {i} has {len(rec[None])} more "
+                                              "fields than the header")
+                rs.append(_parse_number(rec[mapping.response_col], i, mapping.response_col))
+                ds_.append(_parse_number(rec[mapping.treatment_col], i, mapping.treatment_col))
+                y_tok = rec[mapping.outcome_col]
+                ys.append(math.nan if y_tok in mapping.na_tokens
+                          else _parse_number(y_tok, i, mapping.outcome_col))
+                xs.append([_parse_number(rec[c], i, c) for c in mapping.covariate_cols])
+            if not xs:
+                raise DataValidationError("no data rows")
+            return ExperimentDataset(x=np.asarray(xs), d=np.asarray(ds_), r=np.asarray(rs),
+                                     y=np.asarray(ys))
+        except DataValidationError as exc:
+            raise DataValidationError(f"{path}: {exc}") from None
 
 
 def save_csv(ds: ExperimentDataset, path, mapping: ColumnMapping | None = None) -> ColumnMapping:

@@ -11,7 +11,7 @@ import numpy as np
 from .conformal import (cqr_score, expand_interval, interval_score,
                         unweighted_interval_conformal_batch, weighted_split_cqr_batch)
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
-                   InsufficientDataError, SplitPlan, make_splits, validate_dataset)
+                   InsufficientDataError, SplitPlan, make_splits)
 from .eif import counterfactual_terms, extrapolation_terms, initial_eta, solve_smallest_eta
 from .learners import (MeanModel, fit_conditional_cdf, fit_mean,
                        fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
@@ -24,6 +24,14 @@ def _with_treatment(x: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _role_seed(cfg_seed: int, role: int) -> int:
     return child_seed(cfg_seed, 1000 + role)
+
+
+def _require_both_arms(ds: ExperimentDataset) -> None:
+    """Every pipeline and ATE estimate compares the arms on responding rows."""
+    for arm in (0, 1):
+        if not np.any((ds.r == 1) & (ds.d == arm)):
+            raise DataValidationError(f"no responding rows in treatment arm {arm}; "
+                                      "both arms need rows with r = 1")
 
 
 def _ite_interval(arm: int, y: np.ndarray, cf_lo: np.ndarray,
@@ -78,7 +86,7 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
     """Counterfactual step: nuisances on the pretraining fold, localized
     conditional CDFs on the training subfolds, thresholds on calibration.
     Returns a :class:`CiseResult` holding only the step-1 part."""
-    validate_dataset(ds, require_both_arms=True)
+    _require_both_arms(ds)
     flags = []
 
     for name, fold in (("pretrain", plan.pretrain), ("train1", plan.train1),
@@ -254,7 +262,7 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
     split CQR on one half of the observed rows, then an unweighted second
     conformal step (exact) or direct endpoint-quantile fits (inexact).
     The result keeps no models, so it cannot :meth:`~CiseResult.extrapolate`."""
-    validate_dataset(ds, require_both_arms=True)
+    _require_both_arms(ds)
     flags = []
     obs = np.flatnonzero(ds.r == 1)
     att = np.flatnonzero(ds.r == 0)
@@ -332,9 +340,8 @@ class AteEstimate:
 def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
     """Hajek-style IPW ATE on the observed rows, weighting by the inverse of
     the treatment and response propensities (both fits seeded ``cfg.seed``)."""
+    _require_both_arms(ds)
     obs = np.flatnonzero(ds.r == 1)
-    if (ds.d[obs] == 1).sum() == 0 or (ds.d[obs] == 0).sum() == 0:
-        raise DataValidationError("IPW needs observed rows in both arms")
     e_d_model = fit_propensity(ds.x, ds.d, cfg.learner, cfg.seed)
     e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, cfg.learner, cfg.seed)
 
@@ -362,6 +369,7 @@ def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
 def diff_in_means(ds: ExperimentDataset) -> AteEstimate:
     """Observed-group ATE: the difference in arm means over responding rows,
     with the unpooled two-sample SE."""
+    _require_both_arms(ds)
     obs = np.flatnonzero(ds.r == 1)
     y, d = ds.y[obs], ds.d[obs]
     y1, y0 = y[d == 1], y[d == 0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from attrition_conformal.conformal import (_CUM_EPS, ScoreSet, _weighted_quantiles, cqr_score,
-                                           interval_score,
+                                           expand_interval, interval_score,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
                                            weighted_split_cqr_batch)
@@ -51,6 +51,16 @@ def test_nestedness_duality():
 
 
 # ---- weighted quantile ------------------------------------------------------
+
+def test_expand_interval_negative_eta_keeps_ends_in_order():
+    # a negative eta shrinks each interval; where the ends would cross, the
+    # conformal set is empty and shows as the point at the midpoint
+    lo, hi = expand_interval(np.array([0.0, 0.0, -1.0]), np.array([0.5, 4.0, 3.0]), -0.5)
+    assert np.all(lo <= hi)
+    assert lo.tolist() == [0.25, 0.5, -0.5] and hi.tolist() == [0.25, 3.5, 2.5]
+    lo, hi = expand_interval(np.array([0.0]), np.array([0.5]), math.inf)
+    assert (lo[0], hi[0]) == (-math.inf, math.inf)
+
 
 def test_weighted_quantile_enumerated_masses():
     # scores [1,2,3], equal weights and test weight: masses 1/4 each

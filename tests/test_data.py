@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, InsufficientDataError,
-                                      make_splits, validate_dataset)
+                                      make_splits)
+from attrition_conformal.io import ColumnMapping, load_csv, save_csv
+from attrition_conformal.pipelines import (diff_in_means, ipw_ate, run_cise,
+                                           wcqr_nested_baseline)
+
+CSV_MAPPING = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
+                            covariate_cols=("x1",))
 
 
 def table_pattern_dataset():
@@ -16,67 +22,134 @@ def table_pattern_dataset():
     return ExperimentDataset(x=x, d=d, r=r, y=y)
 
 
-def test_validate_clean_dataset():
-    report = validate_dataset(table_pattern_dataset())
-    assert report.n == 4
-    assert report.cell_counts[(1, 1)] == 2
-    assert report.cell_counts[(0, 1)] == 2
-    # both observed arms present and no structural problems: no flags at all
-    assert report.warnings == ()
-
-
 def test_outcome_on_attrited_row_is_structural_error():
     x = np.ones((3, 2))
-    with pytest.raises(DataValidationError, match="attrited"):
-        validate_dataset(ExperimentDataset(x=x, d=[1, 0, 1], r=[1, 1, 0],
-                                           y=[1.0, 2.0, 3.0]))
+    with pytest.raises(DataValidationError, match=r"outcome present on attrited rows \[2\]"):
+        ExperimentDataset(x=x, d=[1, 0, 1], r=[1, 1, 0], y=[1.0, 2.0, 3.0])
 
 
 def test_missing_outcome_on_responding_row_is_structural_error():
     x = np.ones((2, 2))
-    with pytest.raises(DataValidationError, match="missing"):
-        validate_dataset(ExperimentDataset(x=x, d=[1, 0], r=[1, 1],
-                                           y=[np.nan, 2.0]))
+    with pytest.raises(DataValidationError, match=r"outcome missing on responding rows \[0\]"):
+        ExperimentDataset(x=x, d=[1, 0], r=[1, 1], y=[np.nan, 2.0])
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_infinite_outcome_on_responding_row_is_structural_error(bad):
     x = np.ones((3, 2))
-    ds = ExperimentDataset(x=x, d=[1, 0, 1], r=[1, 1, 1], y=[1.0, bad, 2.0])
     with pytest.raises(DataValidationError, match=r"non-finite outcome on responding rows \[1\]"):
-        validate_dataset(ds)
+        ExperimentDataset(x=x, d=[1, 0, 1], r=[1, 1, 1], y=[1.0, bad, 2.0])
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf"])
 def test_infinite_outcome_in_csv_is_structural_error(tmp_path, bad):
-    from attrition_conformal.io import ColumnMapping, load_csv
-
     path = tmp_path / "data.csv"
     path.write_text(f"x1,d,r,y\n0.5,1,1,1.0\n0.1,0,1,{bad}\n0.2,0,0,NA\n")
-    ds = load_csv(path, ColumnMapping(outcome_col="y", treatment_col="d",
-                                      response_col="r", covariate_cols=("x1",)))
-    with pytest.raises(DataValidationError, match=r"non-finite outcome on responding rows \[1\]"):
-        validate_dataset(ds)
+    with pytest.raises(DataValidationError,
+                       match=r"data\.csv: non-finite outcome on responding rows \[1\]"):
+        load_csv(path, CSV_MAPPING)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_nonfinite_covariate_in_csv_is_structural_error(tmp_path, bad):
+    path = tmp_path / "data.csv"
+    path.write_text(f"x1,d,r,y\n0.5,1,1,1.0\n0.1,0,1,2.0\n{bad},0,0,NA\n")
+    with pytest.raises(DataValidationError,
+                       match=r"data\.csv: non-finite covariate values at rows \[2\]"):
+        load_csv(path, CSV_MAPPING)
+
+
+def test_nan_outcome_token_on_attrited_row_loads(tmp_path):
+    # "nan" parses to the same NaN as an NA token; only a NaN on a
+    # responding row breaks the data model
+    path = tmp_path / "data.csv"
+    path.write_text("x1,d,r,y\n0.5,1,1,1.0\n0.1,0,0,nan\n")
+    ds = load_csv(path, CSV_MAPPING)
+    assert ds.r.tolist() == [1, 0] and np.isnan(ds.y[1])
+    path.write_text("x1,d,r,y\n0.5,1,1,nan\n0.1,0,0,NA\n")
+    with pytest.raises(DataValidationError,
+                       match=r"data\.csv: outcome missing on responding rows \[0\]"):
+        load_csv(path, CSV_MAPPING)
 
 
 def test_nonbinary_treatment_rejected():
     x = np.ones((2, 2))
-    with pytest.raises(DataValidationError, match="treatment"):
-        validate_dataset(ExperimentDataset(x=x, d=[2, 0], r=[1, 1], y=[1.0, 2.0]))
+    with pytest.raises(DataValidationError, match=r"non-binary treatment at rows \[0\]"):
+        ExperimentDataset(x=x, d=[2, 0], r=[1, 1], y=[1.0, 2.0])
+
+
+def test_fractional_indicators_are_rejected_not_truncated():
+    # an int64 cast would read d = 0.5 as 0 and r = 1.7 as 1
+    x = np.ones((3, 1))
+    with pytest.raises(DataValidationError, match=r"non-binary treatment at rows \[0\]"):
+        ExperimentDataset(x=x, d=[0.5, 1, 0], r=[1, 1, 1], y=[1.0, 2.0, 3.0])
+    with pytest.raises(DataValidationError, match=r"non-binary response at rows \[1\]"):
+        ExperimentDataset(x=x, d=[0, 1, 0], r=[1, 1.7, 1], y=[1.0, 2.0, 3.0])
+    ds = ExperimentDataset(x=x, d=[0.0, 1.0, True], r=np.array([1.0, 1.0, 0.0]),
+                           y=[1.0, 2.0, np.nan])
+    assert ds.d.dtype == ds.r.dtype == np.int64
+    assert ds.d.tolist() == [0, 1, 1] and ds.r.tolist() == [1, 1, 0]
+
+
+def test_fractional_indicator_in_csv_is_rejected(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,d,r,y\n0.5,1,1,1.0\n0.1,0.5,1,2.0\n")
+    with pytest.raises(DataValidationError, match=r"data\.csv: non-binary treatment at rows \[1\]"):
+        load_csv(path, CSV_MAPPING)
+    path.write_text("x1,d,r,y\n0.5,1,1.7,1.0\n0.1,0,1,2.0\n")
+    with pytest.raises(DataValidationError, match=r"data\.csv: non-binary response at rows \[0\]"):
+        load_csv(path, CSV_MAPPING)
 
 
 def test_empty_control_cell_is_warning_not_error():
-    x = np.ones((3, 1))
-    ds = ExperimentDataset(x=x, d=[1, 1, 1], r=[1, 1, 0], y=[1.0, 2.0, np.nan])
-    report = validate_dataset(ds)
-    assert "no D=0,R=1 cell" in report.warnings
-    with pytest.raises(DataValidationError):
-        validate_dataset(ds, require_both_arms=True)
+    # a dataset without responding controls is well formed; only the
+    # estimates that compare the arms refuse it
+    r = np.tile([1, 1, 0], 4)
+    ds = ExperimentDataset(x=np.ones((12, 1)), d=np.ones(12), r=r,
+                           y=np.where(r == 1, 1.0, np.nan))
+    cfg = ConformalConfig()
+    for estimate in (diff_in_means, lambda ds: ipw_ate(ds, cfg),
+                     lambda ds: run_cise(ds, cfg),
+                     lambda ds: wcqr_nested_baseline(ds, cfg)):
+        with pytest.raises(DataValidationError, match="no responding rows in treatment arm 0"):
+            estimate(ds)
 
 
 def test_nonfinite_covariates_rejected():
-    with pytest.raises(DataValidationError, match="non-finite"):
+    with pytest.raises(DataValidationError, match=r"non-finite covariate values at rows \[1\]"):
         ExperimentDataset(x=[[1.0], [np.inf]], d=[0, 1], r=[1, 1], y=[1.0, 2.0])
+
+
+_ODD = st.sampled_from([0.5, 2.0, -0.0, np.nan, np.inf, -np.inf])
+_INDICATOR = st.one_of(st.sampled_from([0.0, 1.0]), _ODD)
+_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _ODD)
+
+
+def _follows_data_model(x, d, r, y) -> bool:
+    """The data model written out row by row: finite x, binary d and r, and
+    y NaN exactly where r = 0 and finite where r = 1."""
+    return all(np.isfinite(xi) and di in (0.0, 1.0) and ri in (0.0, 1.0)
+               and (np.isnan(yi) if ri == 0.0 else np.isfinite(yi))
+               for xi, di, ri, yi in zip(x, d, r, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_VALUE, _INDICATOR, _INDICATOR,
+                               st.one_of(st.just(np.nan), _VALUE)),
+                     min_size=1, max_size=6))
+def test_dataset_accepts_exactly_the_data_model(tmp_path_factory, rows):
+    x, d, r, y = (np.array(col) for col in zip(*rows))
+    try:
+        ds = ExperimentDataset(x=x[:, None], d=d, r=r, y=y)
+    except DataValidationError:
+        assert not _follows_data_model(x, d, r, y)
+        return
+    assert _follows_data_model(x, d, r, y)
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    back = load_csv(path, save_csv(ds, path))
+    for name in ("x", "d", "r", "y"):
+        a, b = getattr(ds, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_dataset_arrays_are_frozen():

@@ -44,7 +44,7 @@ def test_load_csv_na_outcome_on_responding_row(tmp_path):
     p.write_text("x1,d,r,y\n0.5,1,1,NA\n")
     mapping = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
                             covariate_cols=("x1",))
-    with pytest.raises(DataValidationError, match="row 0"):
+    with pytest.raises(DataValidationError, match=r"bad\.csv: outcome missing on responding rows \[0\]"):
         load_csv(p, mapping)
 
 
@@ -156,6 +156,18 @@ def test_cmd_simulate_method_length_ordering(tmp_path):
     len_cise = json.loads((out_cise / "mc_report.json").read_text())["aggregate"]["mean_length"]
     len_wcqr = json.loads((out_wcqr / "mc_report.json").read_text())["aggregate"]["mean_length"]
     assert len_cise < len_wcqr
+
+
+@pytest.mark.parametrize("seed", ["11", "12"])
+def test_cmd_simulate_negative_eta_alpha_is_not_a_failure(tmp_path, seed):
+    # a replicate of each run solves eta_alpha below zero, which crosses some
+    # counterfactual intervals; they become points and step 2 runs on them
+    out = tmp_path / "run"
+    rc = main(["simulate", "--dgp", "appendixE", "--n", "400", "--reps", "3",
+               "--method", "cise", "--learner", "glm", "--seed", seed,
+               "--alpha", "0.05", "--gamma", "0.05", "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "mc_report.json").read_text())["aggregate"]["n_failed"] == 0
 
 
 def test_cmd_simulate_rho_with_appendix_e_is_usage_error(tmp_path):

@@ -8,7 +8,7 @@ from attrition_conformal.data import (ConformalConfig, DataValidationError,
 from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
                                            cise_step2, ipw_ate, run_cise,
                                            wcqr_nested_baseline)
-from attrition_conformal.rng import make_rng
+from attrition_conformal.rng import child_seed, make_rng
 from attrition_conformal.simulation import DgpSpec, compute_metrics, gen_dgp1, generate
 
 def _linear_draw(n=600, attrition=True, noise=1.0, seed=0):
@@ -279,6 +279,17 @@ def test_ipw_requires_both_arms():
                            y=rng.standard_normal(n))
     with pytest.raises(DataValidationError):
         ipw_ate(ds, ConformalConfig(seed=5))
+
+
+def test_attrition_intervals_never_cross():
+    # the endpoint models cross by more than 2 * eta_gamma on one attrited
+    # row of this draw; the expanded interval is then the midpoint, not an
+    # interval of negative length
+    seed = child_seed(13, 2)
+    ds = generate(DgpSpec(kind="dgp1", n=400, seed=seed)).dataset
+    res = run_cise(ds, ConformalConfig(alpha=0.05, gamma=0.05, seed=seed))
+    assert res.che_lo.size == 197
+    assert np.all(res.che_lo <= res.che_hi)
 
 
 def test_aggregate_ate_weighted_combination():

@@ -28,6 +28,10 @@ from attrition_conformal.cli import main
 from attrition_conformal.io import save_csv
 from attrition_conformal.simulation import METHODS, DgpSpec, generate
 
+# Seeds 11 and 12 would do as well now, but checkouts that expand step-1
+# intervals by a negative eta_alpha without repairing the crossing fail a
+# replicate of `simulate --dgp appendixE --method cise --learner glm` there;
+# seed 13 keeps grids comparable with those checkouts.
 SEED = 13
 LEVELS = ["--alpha", "0.05", "--gamma", "0.05"]
 
