@@ -6,41 +6,21 @@ Exit codes: 0 success, 2 usage, 3 data validation, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
-import time
 from pathlib import Path
 
-from .data import LEARNERS, ConformalConfig, DataValidationError, InsufficientDataError
-from .io import (ColumnMapping, RunManifest, digest_of, dump_json, file_digest,
-                 load_csv, mc_report_dict, now_iso, read_json_object, write_mc_long_csv)
+from .data import (LEARNERS, MIN_ROWS, ConformalConfig, DataValidationError,
+                   InsufficientDataError)
+from .io import (ColumnMapping, RunManifest, dump_json, load_csv, mc_report_dict,
+                 read_json_object, write_csv, write_mc_long_csv)
 from .pipelines import aggregate_ate, diff_in_means, ipw_ate
 from .simulation import METHODS, DgpSpec, run_mc, run_replicates
-
-WORKERS_ENV = "ATTRITION_CONFORMAL_WORKERS"
-
-
-def _workers(args, parser) -> int:
-    if args.threads is not None:
-        return args.threads  # at least 1, checked by _run_config
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        parser.error(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
-    return workers
-
 
 def _run_config(args, parser) -> ConformalConfig:
     """The run configuration; an out-of-range ``--reps``, ``--threads``,
     ``--alpha`` or ``--gamma`` is a usage error, found before any replicate runs."""
     for flag, value in (("--reps", args.reps), ("--threads", args.threads)):
-        if value is not None and value < 1:
+        if value < 1:
             parser.error(f"{flag} must be at least 1, got {value}")
     try:
         return ConformalConfig(alpha=args.alpha, gamma=args.gamma, seed=args.seed,
@@ -67,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--missingness", default="MAR", choices=("MAR", "MCAR"))
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=1)
 
     ana = sub.add_parser("analyze", help="run a pipeline on a CSV dataset")
     ana.add_argument("--data", required=True)
@@ -79,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--gamma", type=float, default=0.025)
     ana.add_argument("--seed", type=int, default=0)
     ana.add_argument("--out", required=True)
-    ana.add_argument("--threads", type=int, default=None)
+    ana.add_argument("--threads", type=int, default=1)
 
     rep = sub.add_parser("report", help="merge mc_report.json files into a table")
     rep.add_argument("--in", required=True, nargs="+", dest="inputs")
@@ -91,6 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args, parser) -> int:
     if args.dgp == "appendixE" and args.rho is not None:
         parser.error("--rho does not apply to the appendixE DGP")
+    if args.n < MIN_ROWS:
+        parser.error(f"--n must be at least {MIN_ROWS}, got {args.n}")
     rho = args.rho if args.rho is not None else 0.0
     try:
         dgp = DgpSpec(kind=args.dgp, n=args.n, rho=rho, missingness=args.missingness,
@@ -98,27 +80,16 @@ def cmd_simulate(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     cfg = _run_config(args, parser)
-    started = now_iso()
-    t0 = time.time()
-    report = run_mc(dgp, args.method, cfg, reps=args.reps, workers=_workers(args, parser))
+    manifest = RunManifest.for_run("simulate", {
+        "dgp": args.dgp, "n": args.n, "reps": args.reps, "method": args.method,
+        "learner": args.learner, "alpha": args.alpha, "gamma": args.gamma, "rho": rho,
+        "missingness": args.missingness, "seed": args.seed})
+    report = run_mc(dgp, args.method, cfg, reps=args.reps, workers=args.threads)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    command = ["simulate", "--dgp", args.dgp, "--n", str(args.n), "--reps", str(args.reps),
-               "--method", args.method, "--learner", args.learner,
-               "--alpha", repr(args.alpha), "--gamma", repr(args.gamma),
-               "--rho", repr(rho), "--missingness", args.missingness,
-               "--seed", str(args.seed)]
-    config = {"dgp": args.dgp, "n": args.n, "reps": args.reps, "method": args.method,
-              "learner": args.learner, "alpha": args.alpha, "gamma": args.gamma,
-              "rho": rho, "missingness": args.missingness, "seed": args.seed}
-    manifest = RunManifest(command=command, config=config, seed=args.seed,
-                           input_digest=digest_of(config))
     dump_json(mc_report_dict(report, manifest.digest), out / "mc_report.json")
     write_mc_long_csv(report, out / "mc_long.csv")
-    manifest.started_at = started
-    manifest.finished_at = now_iso()
-    manifest.wall_time = time.time() - t0
     manifest.write(out / "manifest.json")
     cov = "n/a" if report.mean_coverage is None else f"{report.mean_coverage:.3f}"
     length = "n/a" if report.mean_length is None else f"{report.mean_length:.3f}"
@@ -134,10 +105,13 @@ def _attrition_intervals(rep, draw, result) -> tuple:
 
 def cmd_analyze(args, parser) -> int:
     cfg = _run_config(args, parser)
-    started = now_iso()
-    t0 = time.time()
-    mapping = ColumnMapping.from_json(args.mapping)
-    ds = load_csv(args.data, mapping)
+    manifest = RunManifest.for_run("analyze", {
+        "method": args.method, "reps": args.reps, "learner": args.learner,
+        "alpha": args.alpha, "gamma": args.gamma, "seed": args.seed},
+        data=args.data, mapping=args.mapping)
+    ds = load_csv(args.data, ColumnMapping.from_json(args.mapping))
+    if ds.n < MIN_ROWS:
+        raise DataValidationError(f"{args.data}: {ds.n} data rows, need at least {MIN_ROWS}")
 
     # replicates run in this process: --threads applies to simulate only
     replicates = run_replicates(ds, args.method, cfg, args.reps, _attrition_intervals)
@@ -168,25 +142,10 @@ def cmd_analyze(args, parser) -> int:
     }
     dump_json(summary_doc, out / "ate_summary.json")
 
-    with (out / "intervals.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "mean_lo", "mean_hi", "finite_reps"])
-        for row, lo, hi, cnt in zip(summary.att_idx, summary.mean_lo, summary.mean_hi,
-                                    summary.finite_reps):
-            writer.writerow([int(row), repr(float(lo)), repr(float(hi)), int(cnt)])
-
-    command = ["analyze", "--data", str(args.data), "--map", str(args.mapping),
-               "--method", args.method, "--reps", str(args.reps),
-               "--learner", args.learner, "--alpha", repr(args.alpha),
-               "--gamma", repr(args.gamma), "--seed", str(args.seed)]
-    config = {"method": args.method, "reps": args.reps, "learner": args.learner,
-              "alpha": args.alpha, "gamma": args.gamma, "seed": args.seed}
-    manifest = RunManifest(command=command, config=config, seed=args.seed,
-                           input_digest=digest_of({"data": file_digest(args.data),
-                                                   "mapping": file_digest(args.mapping)}))
-    manifest.started_at = started
-    manifest.finished_at = now_iso()
-    manifest.wall_time = time.time() - t0
+    write_csv(out / "intervals.csv", ["row", "mean_lo", "mean_hi", "finite_reps"],
+              ([int(row), float(lo), float(hi), int(cnt)]
+               for row, lo, hi, cnt in zip(summary.att_idx, summary.mean_lo, summary.mean_hi,
+                                           summary.finite_reps)))
     manifest.write(out / "manifest.json")
     print(f"{args.method} on {args.data}: ATEall "
           f"{round(summary.ate_all, 4)} -> {out}")
@@ -237,13 +196,7 @@ def cmd_report(args, parser) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_json({"rows": rows}, out / "report.json")
-    cols = ["method", "learner", "dgp", "n", "rho", "alpha", "gamma", "coverage_mean",
-            "coverage_sd", "length_mean", "length_sd", "n_reps", "n_failed", "run_digest"]
-    with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow(["" if row[c] is None else row[c] for c in cols])
+    write_csv(out / "report.csv", list(rows[0]), [list(row.values()) for row in rows])
     print(f"merged {len(rows)} runs -> {out}")
     return 0
 

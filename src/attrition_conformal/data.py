@@ -78,10 +78,11 @@ GLM = "glm"
 RANDOM_FOREST = "random_forest"
 LEARNERS = (GLM, RANDOM_FOREST)
 
-# fold fractions of make_splits
+# fold fractions of make_splits, and the fewest rows it splits
 PRETRAIN_FRAC = 0.20
 TRAIN_FRAC_OF_REST = 0.75
 STEP2_TRAIN_FRAC = 0.50
+MIN_ROWS = 8
 
 
 def check_learner(learner: str) -> None:
@@ -138,8 +139,9 @@ def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> Split
     train2), the rest calibration.  Step-2 folds split the calibration rows
     with r = 1 at ``STEP2_TRAIN_FRAC``.  Deterministic given ``cfg.seed``.
     """
-    if n_rows < 8:
-        raise InsufficientDataError("insufficient data for split plan (need at least 8 rows)")
+    if n_rows < MIN_ROWS:
+        raise InsufficientDataError("insufficient data for split plan "
+                                    f"(need at least {MIN_ROWS} rows)")
     r_flags = np.asarray(r_flags, dtype=np.int64)
     if r_flags.shape != (n_rows,):
         raise ValueError("r_flags must have length n_rows")

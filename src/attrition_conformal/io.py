@@ -184,12 +184,17 @@ def digest_of(payload: dict) -> str:
     return hashlib.sha256(json.dumps(_jsonify(payload), sort_keys=True).encode()).hexdigest()
 
 
+def now_iso() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written next to every output.
 
     Volatile fields (timestamps, wall time) live here so the reports next to
-    it stay byte-identical across reruns.
+    it stay byte-identical across reruns.  The clock starts when the
+    manifest is made and stops when it is written.
     """
 
     command: list
@@ -199,25 +204,53 @@ class RunManifest:
     rng: str = RNG_NOTE
     input_digest: str = ""
     digest: str = field(default="", init=False)
-    started_at: str = ""
-    finished_at: str = ""
-    wall_time: float = 0.0
+    started_at: str = field(default_factory=now_iso, init=False)
+    finished_at: str = field(default="", init=False)
+    wall_time: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         self.digest = digest_of({"command": self.command, "config": self.config,
                                  "seed": self.seed, "version": self.library_version,
                                  "input_digest": self.input_digest})
 
+    @classmethod
+    def for_run(cls, name: str, config: dict, data=None, mapping=None) -> "RunManifest":
+        """The record of one CLI command, its clock started.
+
+        The command echoes ``--data``/``--map`` when given, then every config
+        entry as ``--key value`` (floats by ``repr``), so parsing it gives the
+        config back.  The input digest covers the input files' bytes, or the
+        config when the command reads no file.
+        """
+        command = [name]
+        input_digest = digest_of(config)
+        if data is not None:
+            command += ["--data", str(data), "--map", str(mapping)]
+            input_digest = digest_of({"data": file_digest(data),
+                                      "mapping": file_digest(mapping)})
+        for key, value in config.items():
+            command += [f"--{key}", repr(value) if isinstance(value, float) else str(value)]
+        return cls(command=command, config=config, seed=config["seed"],
+                   input_digest=input_digest)
+
     def write(self, path) -> None:
+        self.finished_at = now_iso()
+        self.wall_time = (datetime.fromisoformat(self.finished_at)
+                          - datetime.fromisoformat(self.started_at)).total_seconds()
         dump_json(asdict(self), path)
-
-
-def now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_csv(path, header: list, rows) -> None:
+    """One header row, then ``rows``.  None is written as an empty field and a
+    float in its shortest round-tripping form, so values read back exactly."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v for v in row] for row in rows)
 
 
 def mc_report_dict(report: McReport, run_digest: str) -> dict:
@@ -241,25 +274,17 @@ def mc_report_dict(report: McReport, run_digest: str) -> dict:
             "n_reps": len(report.reps),
             "n_failed": report.n_failed,
         },
-        "reps": [
-            {"rep": r.rep, "coverage": r.coverage, "avg_length": r.avg_length,
-             "infinite_count": r.infinite_count, "ate_r1": r.ate_r1,
-             "ate_attrition": r.ate_attrition, "n_attrition": r.n_attrition,
-             "error": r.error}
-            for r in report.reps
-        ],
+        "reps": [asdict(r) for r in report.reps],
     }
 
 
 def write_mc_long_csv(report: McReport, path) -> None:
     """Plot-ready long format: one row per (rep, metric)."""
     metrics = ("coverage", "avg_length", "infinite_count", "ate_r1", "ate_attrition")
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "dgp", "n", "rho", "rep", "metric", "value"])
-        for rec in report.reps:
-            for metric in metrics:
-                value = getattr(rec, metric)
-                writer.writerow([report.method, report.dgp.kind, report.dgp.n,
-                                 report.dgp.rho, rec.rep,
-                                 metric, "" if value is None else repr(float(value))])
+    rows = []
+    for rec in report.reps:
+        for metric in metrics:
+            value = getattr(rec, metric)
+            rows.append([report.method, report.dgp.kind, report.dgp.n, report.dgp.rho, rec.rep,
+                         metric, None if value is None else float(value)])
+    write_csv(path, ["method", "dgp", "n", "rho", "rep", "metric", "value"], rows)

@@ -251,6 +251,7 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
 
 def run_cise(ds: ExperimentDataset, cfg: ConformalConfig) -> CiseResult:
     """Full two-step pipeline on one dataset."""
+    _require_both_arms(ds)
     plan = make_splits(ds.n, ds.r, cfg)
     state = cise_step1(ds, plan, cfg)
     return cise_step2(state, ds, plan, cfg)

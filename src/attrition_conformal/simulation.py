@@ -31,7 +31,6 @@ class DgpSpec:
     rho: float = 0.0
     missingness: str = "MAR"  # appendixE only; MCAR keeps each row with p = 0.8
     seed: int = 0
-    k: int = 0  # 0 -> the DGP's own dimension (10, 10, 5)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -46,10 +45,11 @@ class DgpSpec:
             raise ValueError("MCAR missingness applies to the appendixE DGP only")
         if self.kind == DGP_APPENDIX_E and self.rho != 0.0:
             raise ValueError("the appendixE DGP has independent covariates")
-        if self.k == 0:
-            object.__setattr__(self, "k", 5 if self.kind == DGP_APPENDIX_E else 10)
-        if self.k < 2:
-            raise ValueError("need at least two covariates")
+
+    @property
+    def k(self) -> int:
+        """The DGP's covariate dimension."""
+        return 5 if self.kind == DGP_APPENDIX_E else 10
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,6 @@ class SimulatedDraw:
     y0: np.ndarray
     ite: np.ndarray
     cate: np.ndarray
-    e_d: np.ndarray
-    e_r: np.ndarray  # at the assigned treatment
 
 
 def _equicorrelated_gaussian(rng: np.random.Generator, n: int, k: int, rho: float) -> np.ndarray:
@@ -75,13 +73,11 @@ def _equicorrelated_gaussian(rng: np.random.Generator, n: int, k: int, rho: floa
 def _assemble(x, y1, y0, cate, e_d, e_r_fn, rng) -> SimulatedDraw:
     n = x.shape[0]
     d = (rng.random(n) < e_d).astype(np.int64)
-    e_r = e_r_fn(x, d)
-    r = (rng.random(n) < e_r).astype(np.int64)
+    r = (rng.random(n) < e_r_fn(x, d)).astype(np.int64)
     y_obs = np.where(d == 1, y1, y0)
     y = np.where(r == 1, y_obs, np.nan)
     ds = ExperimentDataset(x=x, d=d, r=r, y=y)
-    return SimulatedDraw(dataset=ds, y1=y1, y0=y0, ite=y1 - y0, cate=cate,
-                         e_d=e_d, e_r=e_r)
+    return SimulatedDraw(dataset=ds, y1=y1, y0=y0, ite=y1 - y0, cate=cate)
 
 
 def dgp1_f(x):

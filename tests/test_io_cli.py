@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from attrition_conformal.cli import main
-from attrition_conformal.data import DataValidationError
+from attrition_conformal.data import ConformalConfig, DataValidationError, ExperimentDataset
 from attrition_conformal.io import ColumnMapping, load_csv, save_csv
+from attrition_conformal.pipelines import run_cise
 from attrition_conformal.simulation import DgpSpec, gen_dgp1
 
 
@@ -288,23 +289,53 @@ def test_cmd_report_empty_inputs_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-def test_worker_env_override(monkeypatch, capsys):
-    from types import SimpleNamespace
+def test_manifest_command_parses_back_to_its_config(tmp_path):
+    """The command a manifest echoes, which its digest hashes, is the run's config."""
+    from attrition_conformal.cli import _build_parser
 
-    from attrition_conformal.cli import WORKERS_ENV, _build_parser, _workers
+    draw = gen_dgp1(DgpSpec(kind="dgp1", n=200, seed=3))
+    data, map_path = tmp_path / "d.csv", tmp_path / "map.json"
+    _write_mapping(map_path, save_csv(draw.dataset, data).covariate_cols)
+    runs = {"simulate": ["simulate", "--dgp", "dgp2", "--n", "200", "--reps", "1",
+                         "--method", "wcqr_nested_inexact", "--alpha", "0.0123456789",
+                         "--gamma", "0.05", "--rho", "0.3", "--seed", "4"],
+            "analyze": ["analyze", "--data", str(data), "--map", str(map_path),
+                        "--method", "wcqr_nested_inexact", "--reps", "1",
+                        "--alpha", "0.0123456789", "--seed", "4"]}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        parsed = vars(_build_parser().parse_args(manifest["command"] + ["--out", "x"]))
+        assert {key: parsed[key] for key in manifest["config"]} == manifest["config"]
+        assert manifest["seed"] == 4 and manifest["wall_time"] >= 0.0
+    assert (parsed["data"], parsed["mapping"]) == (str(data), str(map_path))
 
-    parser = _build_parser()
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _workers(SimpleNamespace(threads=None), parser) == 3
-    assert _workers(SimpleNamespace(threads=2), parser) == 2  # flag beats the env var
-    for bad in ("two", "0"):
-        monkeypatch.setenv(WORKERS_ENV, bad)
-        with pytest.raises(SystemExit) as exc:
-            _workers(SimpleNamespace(threads=None), parser)
-        assert exc.value.code == 2  # a usage error, not a numerical failure
-        assert WORKERS_ENV in capsys.readouterr().err
-    monkeypatch.delenv(WORKERS_ENV)
-    assert _workers(SimpleNamespace(threads=None), parser) == 1
+
+def test_too_few_rows_is_data_error_before_any_replicate(tmp_path, monkeypatch, capsys):
+    from attrition_conformal import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_replicates", no_run)
+    data = tmp_path / "tiny.csv"
+    data.write_text("x1,d,r,y\n0.1,1,1,2.0\n0.2,0,1,1.0\n0.3,1,0,NA\n0.4,0,1,0.5\n")
+    map_path = tmp_path / "map.json"
+    _write_mapping(map_path, ["x1"])
+    for method in ("cise", "wcqr_nested_exact"):
+        rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", method,
+                   "--reps", "2", "--out", str(tmp_path / method)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "tiny.csv" in err and "4 data rows" in err
+
+
+def test_run_cise_checks_both_arms_before_splitting():
+    # too few rows to split and no responding controls: the data error wins
+    ds = ExperimentDataset(x=np.arange(4.0)[:, None], d=np.array([1, 1, 0, 1]),
+                           r=np.array([1, 1, 0, 1]), y=np.array([1.0, 2.0, np.nan, 3.0]))
+    with pytest.raises(DataValidationError, match="arm 0"):
+        run_cise(ds, ConformalConfig())
 
 
 def _write_rows(path, rows):
@@ -393,6 +424,7 @@ ANALYZE = ["analyze", "--data", "never-read.csv", "--map", "never-read.json",
 @pytest.mark.parametrize("argv", [
     SIMULATE + ["--reps", "0"],
     SIMULATE + ["--n", "0"],
+    SIMULATE + ["--n", "5"],
     SIMULATE + ["--alpha", "1.5"],
     SIMULATE + ["--gamma", "0"],
     SIMULATE + ["--alpha", "0.6", "--gamma", "0.5"],

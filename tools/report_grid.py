@@ -3,11 +3,13 @@
     PYTHONPATH=<checkout>/src python tools/report_grid.py OUT
 
 runs the package CLI (whichever ``attrition_conformal`` is on the path)
-over a fixed set of commands and writes 38 files under OUT besides the run
+over a fixed set of commands and writes 40 files under OUT besides the run
 manifests:
 
 - ``simulate`` on dgp1, dgp2 and appendixE with each method, glm, n=400,
-  3 reps;
+  3 reps; dgp1 with cise also once more with ``--threads 2``, and the tool
+  exits non-zero unless that cell's ``mc_report.json`` and ``mc_long.csv``
+  are byte-equal to the one-worker cell's;
 - each method with random_forest on dgp1, n=300, 1 rep;
 - ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps), and
   with cise and wcqr_nested_inexact using random_forest (2 reps), plus the
@@ -50,6 +52,13 @@ def build_grid(out: Path) -> None:
             _run(["simulate", "--dgp", dgp, "--n", "400", "--reps", "3", "--method", method,
                   "--learner", "glm", "--seed", str(SEED), *LEVELS, "--out", str(run)])
             glm_runs.append(run / "mc_report.json")
+    one, two = out / "simulate" / "dgp1_cise_glm", out / "simulate" / "dgp1_cise_glm_threads2"
+    _run(["simulate", "--dgp", "dgp1", "--n", "400", "--reps", "3", "--method", "cise",
+          "--learner", "glm", "--seed", str(SEED), *LEVELS, "--threads", "2",
+          "--out", str(two)])
+    for name in ("mc_report.json", "mc_long.csv"):
+        if (one / name).read_bytes() != (two / name).read_bytes():
+            raise SystemExit(f"{name} differs between --threads 1 and --threads 2")
     for method in METHODS:
         _run(["simulate", "--dgp", "dgp1", "--n", "300", "--reps", "1", "--method", method,
               "--learner", "random_forest", "--seed", str(SEED), *LEVELS,
