@@ -20,8 +20,7 @@ from .learners import (fit_conditional_cdf, fit_mean, fit_propensity, fit_quanti
 from .pipelines import (AteEstimate, AteSummary, CiseResult, aggregate_ate,
                         cise_step1, cise_step2, ipw_ate, run_cise,
                         wcqr_nested_baseline)
-from .simulation import (DgpSpec, McReport, SimulatedDraw, compute_metrics,
-                         gen_dgp1, gen_dgp2, gen_dgp_appendix_e, generate,
+from .simulation import (DgpSpec, McReport, SimulatedDraw, compute_metrics, generate,
                          oracle_interval, run_mc)
 
 __version__ = "0.1.0"

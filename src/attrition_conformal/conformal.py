@@ -39,15 +39,16 @@ def interval_score(c_lo, c_hi, h_lo, h_hi):
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Calibration scores with optional weights and the test point's weight mass.
+    """Calibration scores with optional weights and the test weight mass.
 
     Empty ``weights`` selects the unweighted rule, where the test point
-    contributes one extra unit mass.
+    contributes one extra unit mass.  ``test_weight`` may be an array with
+    one mass per test point.
     """
 
     scores: np.ndarray
     weights: np.ndarray = field(default_factory=lambda: np.empty(0))
-    test_weight: float = 1.0
+    test_weight: float | np.ndarray = 1.0
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
@@ -58,7 +59,7 @@ class ScoreSet:
             raise ValueError("scores must be finite")
         if weights.size and (np.any(~np.isfinite(weights)) or np.any(weights < 0)):
             raise ValueError("weights must be finite and nonnegative")
-        if not (self.test_weight >= 0):
+        if not np.all(np.asarray(self.test_weight) >= 0):
             raise ValueError("test_weight must be nonnegative")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "weights", weights)
@@ -76,37 +77,27 @@ def unweighted_quantile(scores: np.ndarray, level: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
-def _weighted_quantiles(sorted_scores: np.ndarray, cum_w: np.ndarray, test_weight,
-                        level: float) -> np.ndarray:
-    """The weighted-quantile rule for one or many test weights.
-
-    ``cum_w`` is the cumulative weight of ``sorted_scores``; each test weight
-    adds the infinity atom to the total mass.  Returns the smallest score
-    whose cumulative weight reaches ``level`` of that total, or +inf.
-    """
-    total = cum_w[-1] + np.asarray(test_weight, dtype=np.float64)
-    hit = np.searchsorted(cum_w, level * total - _CUM_EPS * total, side="left")
-    n = sorted_scores.size
-    return np.where((hit < n) & (total > 0), sorted_scores[np.minimum(hit, n - 1)], math.inf)
-
-
-def weighted_quantile(ss: ScoreSet, level: float) -> float:
+def weighted_quantile(ss: ScoreSet, level: float) -> float | np.ndarray:
     """Quantile of the weighted score distribution with an infinity atom.
 
     Normalizes p_i = w_i / (sum w + test_weight) and puts the remaining mass
     p_inf at +inf; returns the smallest score whose cumulative mass reaches
     ``level``, or +inf when only the infinity atom does.  Ties take the
-    smallest qualifying score.
+    smallest qualifying score.  An array of test weights gives an array with
+    one quantile per weight.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    if ss.scores.size == 0:
-        return math.inf
-    if ss.weights.size == 0:
-        return unweighted_quantile(ss.scores, level)
+    if ss.weights.size == 0:  # empty scores included
+        q = unweighted_quantile(ss.scores, level)
+        return q if np.ndim(ss.test_weight) == 0 else np.full(np.shape(ss.test_weight), q)
     order = np.argsort(ss.scores, kind="stable")
-    return float(_weighted_quantiles(ss.scores[order], np.cumsum(ss.weights[order]),
-                                     ss.test_weight, level))
+    sorted_scores, cum_w = ss.scores[order], np.cumsum(ss.weights[order])
+    total = cum_w[-1] + np.asarray(ss.test_weight, dtype=np.float64)
+    hit = np.searchsorted(cum_w, level * total - _CUM_EPS * total, side="left")
+    n = sorted_scores.size
+    q = np.where((hit < n) & (total > 0), sorted_scores[np.minimum(hit, n - 1)], math.inf)
+    return float(q) if q.ndim == 0 else q
 
 
 def expand_interval(lo, hi, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -159,12 +150,10 @@ def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: floa
         raise ValueError("weight_fn must be finite and positive")
 
     t_lo, t_hi = qp.predict(x_test)
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    eta = _weighted_quantiles(sorted_scores, np.cumsum(w_cal[order]), w_test, 1.0 - level)
+    eta = weighted_quantile(ScoreSet(scores, w_cal, w_test), 1.0 - level)
     uninformative = ~np.isfinite(eta)
     if cap_at_max:
-        eta = np.where(uninformative, sorted_scores[-1], eta)
+        eta = np.where(uninformative, scores.max(), eta)
     lo, hi = expand_interval(t_lo, t_hi, eta)
     return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=uninformative)
 

@@ -135,19 +135,17 @@ def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
 
 
 def save_csv(ds: ExperimentDataset, path, mapping: ColumnMapping | None = None) -> ColumnMapping:
-    """Write the observed fields of a dataset; floats round-trip exactly via repr."""
+    """Write the observed fields of a dataset, a missing outcome as NA; floats
+    round-trip exactly."""
     if mapping is None:
         mapping = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
                                 covariate_cols=tuple(f"x{j + 1}" for j in range(ds.k)))
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*mapping.covariate_cols, mapping.treatment_col,
-                         mapping.response_col, mapping.outcome_col])
-        for i in range(ds.n):
-            y = "NA" if math.isnan(ds.y[i]) else repr(float(ds.y[i]))
-            writer.writerow([*(repr(float(v)) for v in ds.x[i]),
-                             int(ds.d[i]), int(ds.r[i]), y])
+    # tolist() gives Python floats; csv would write an np.float64 as "np.float64(...)"
+    write_csv(path, [*mapping.covariate_cols, mapping.treatment_col, mapping.response_col,
+                     mapping.outcome_col],
+              ([*x, d, r, "NA" if math.isnan(y) else y]
+               for x, d, r, y in zip(ds.x.tolist(), ds.d.tolist(), ds.r.tolist(),
+                                     ds.y.tolist())))
     return mapping
 
 

@@ -63,21 +63,16 @@ class SimulatedDraw:
     cate: np.ndarray
 
 
-def _equicorrelated_gaussian(rng: np.random.Generator, n: int, k: int, rho: float) -> np.ndarray:
+def _equicorrelated_gaussian(rng: np.random.Generator, spec: DgpSpec) -> np.ndarray:
     """Shared-factor construction: X_j = sqrt(rho) Z0 + sqrt(1 - rho) Z_j."""
-    z0 = rng.standard_normal(n)
-    z = rng.standard_normal((n, k))
-    return math.sqrt(rho) * z0[:, None] + math.sqrt(1.0 - rho) * z
+    z0 = rng.standard_normal(spec.n)
+    z = rng.standard_normal((spec.n, spec.k))
+    return math.sqrt(spec.rho) * z0[:, None] + math.sqrt(1.0 - spec.rho) * z
 
 
-def _assemble(x, y1, y0, cate, e_d, e_r_fn, rng) -> SimulatedDraw:
-    n = x.shape[0]
-    d = (rng.random(n) < e_d).astype(np.int64)
-    r = (rng.random(n) < e_r_fn(x, d)).astype(np.int64)
-    y_obs = np.where(d == 1, y1, y0)
-    y = np.where(r == 1, y_obs, np.nan)
-    ds = ExperimentDataset(x=x, d=d, r=r, y=y)
-    return SimulatedDraw(dataset=ds, y1=y1, y0=y0, ite=y1 - y0, cate=cate)
+def _independent_gaussian(rng: np.random.Generator, spec: DgpSpec) -> np.ndarray:
+    # no shared factor: at rho = 0 the construction above would still draw Z0
+    return rng.standard_normal((spec.n, spec.k))
 
 
 def dgp1_f(x):
@@ -100,16 +95,9 @@ def dgp1_e_r(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return expit(-0.25 + 0.5 * np.asarray(d) + 0.2 * x[:, 0] - 0.3 * x[:, 1])
 
 
-def gen_dgp1(spec: DgpSpec) -> SimulatedDraw:
-    """Logistic-bump outcome surface, beta-CDF treatment propensity, MAR attrition."""
-    if spec.kind != DGP1:
-        raise ValueError("spec.kind must be dgp1")
-    rng = make_rng(spec.seed)
-    x = _equicorrelated_gaussian(rng, spec.n, spec.k, spec.rho)
-    eps1 = rng.standard_normal(spec.n)
-    eps0 = rng.standard_normal(spec.n)
-    cate = dgp1_cate(x)
-    return _assemble(x, cate + eps1, eps0, cate, dgp1_e_d(x), dgp1_e_r, rng)
+def dgp2_base(x: np.ndarray) -> np.ndarray:
+    """The softplus-reciprocal term both potential outcomes share."""
+    return 1.0 / np.log1p(np.exp(x[:, 2]))
 
 
 def dgp2_cate(x: np.ndarray) -> np.ndarray:
@@ -127,19 +115,6 @@ def dgp2_e_r(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return expit(-1.0 + 0.3 * np.asarray(d) + 0.5 * x[:, 0] - 0.4 * x[:, 1])
 
 
-def gen_dgp2(spec: DgpSpec) -> SimulatedDraw:
-    """Curved outcome surface with a shared softplus-reciprocal baseline term."""
-    if spec.kind != DGP2:
-        raise ValueError("spec.kind must be dgp2")
-    rng = make_rng(spec.seed)
-    x = _equicorrelated_gaussian(rng, spec.n, spec.k, spec.rho)
-    eps1 = rng.standard_normal(spec.n)
-    eps0 = rng.standard_normal(spec.n)
-    base = 1.0 / np.log1p(np.exp(x[:, 2]))
-    cate = dgp2_cate(x)
-    return _assemble(x, base + cate + eps1, base + eps0, cate, dgp2_e_d(x), dgp2_e_r, rng)
-
-
 def appendix_e_cate(x: np.ndarray) -> np.ndarray:
     return np.atleast_2d(x).sum(axis=1)
 
@@ -153,29 +128,36 @@ def appendix_e_e_r(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return expit(-0.2 + 0.5 * np.asarray(d) + 0.2 * x[:, 0] - 0.3 * x[:, 1])
 
 
-def gen_dgp_appendix_e(spec: DgpSpec) -> SimulatedDraw:
-    """Linear outcome in all covariates, probit treatment, MCAR or MAR attrition."""
-    if spec.kind != DGP_APPENDIX_E:
-        raise ValueError("spec.kind must be appendixE")
-    rng = make_rng(spec.seed)
-    x = rng.standard_normal((spec.n, spec.k))
-    eps1 = rng.standard_normal(spec.n)
-    eps0 = rng.standard_normal(spec.n)
-    cate = appendix_e_cate(x)
-    if spec.missingness == "MCAR":
-        def e_r_fn(x_, d_):
-            return np.full(x_.shape[0], 0.8)
-    else:
-        e_r_fn = appendix_e_e_r
-    return _assemble(x, cate + eps1, eps0, cate, appendix_e_e_d(x), e_r_fn, rng)
+# kind -> (covariate draw, shared baseline term or None, CATE, treatment
+# propensity, MAR response propensity).  DGP1: logistic-bump surface, beta-CDF
+# treatment.  DGP2: curved surface over a shared baseline.  appendixE: linear
+# surface in independent covariates, probit treatment.
+_DESIGNS = {
+    DGP1: (_equicorrelated_gaussian, None, dgp1_cate, dgp1_e_d, dgp1_e_r),
+    DGP2: (_equicorrelated_gaussian, dgp2_base, dgp2_cate, dgp2_e_d, dgp2_e_r),
+    DGP_APPENDIX_E: (_independent_gaussian, None, appendix_e_cate, appendix_e_e_d,
+                     appendix_e_e_r),
+}
+MCAR_RESPONSE = 0.8
 
 
 def generate(spec: DgpSpec) -> SimulatedDraw:
-    if spec.kind == DGP1:
-        return gen_dgp1(spec)
-    if spec.kind == DGP2:
-        return gen_dgp2(spec)
-    return gen_dgp_appendix_e(spec)
+    """One draw of ``spec``'s design from the stream ``make_rng(spec.seed)``:
+    covariates, the two outcome noises, treatment, then response."""
+    draw_x, base, cate_fn, e_d, e_r = _DESIGNS[spec.kind]
+    rng = make_rng(spec.seed)
+    x = draw_x(rng, spec)
+    eps1 = rng.standard_normal(spec.n)
+    eps0 = rng.standard_normal(spec.n)
+    shift = 0.0 if base is None else base(x)
+    cate = cate_fn(x)
+    y1, y0 = shift + cate + eps1, shift + eps0
+    d = (rng.random(spec.n) < e_d(x)).astype(np.int64)
+    p_r = MCAR_RESPONSE if spec.missingness == "MCAR" else e_r(x, d)
+    r = (rng.random(spec.n) < p_r).astype(np.int64)
+    y = np.where(r == 1, np.where(d == 1, y1, y0), np.nan)
+    ds = ExperimentDataset(x=x, d=d, r=r, y=y)
+    return SimulatedDraw(dataset=ds, y1=y1, y0=y0, ite=y1 - y0, cate=cate)
 
 
 def oracle_interval(draw: SimulatedDraw, level: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -257,11 +239,12 @@ def _run_one_rep(args) -> tuple:
             draw = generate(replace(source, seed=child_seed(source.seed, rep)))
         result = run_method(source if draw is None else draw.dataset, method,
                             replace(cfg, seed=child_seed(cfg.seed, rep)))
-        return rep, summarize(rep, draw, result), None
+        return rep, summarize(rep, draw, result), None, False
     except DataValidationError:
         raise
     except (RuntimeError, ValueError) as exc:  # InsufficientDataError and numerical failures
-        return rep, None, f"{type(exc).__name__}: {exc}"
+        return (rep, None, f"{type(exc).__name__}: {exc}",
+                isinstance(exc, InsufficientDataError))
 
 
 def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summarize,
@@ -274,7 +257,8 @@ def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summari
     result)`` (``draw`` is None for a fixed dataset); ``error`` is ``"Type: message"``
     for a replicate that failed on too little data or a numerical error.
     Structural data errors and programming errors propagate.  More than 20%
-    failed replicates raise :class:`RuntimeError`.  ``workers > 1`` runs the
+    failed replicates raise :class:`InsufficientDataError` when every failure
+    was one, else :class:`RuntimeError`.  ``workers > 1`` runs the
     replicates in a process pool, so ``summarize`` must then be picklable.
     """
     if reps < 1:
@@ -285,10 +269,12 @@ def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summari
             out = list(pool.map(_run_one_rep, payloads))
     else:
         out = [_run_one_rep(p) for p in payloads]
-    errors = [f"rep {rep}: {error}" for rep, _, error in out if error is not None]
-    if len(errors) > 0.2 * reps:
-        raise RuntimeError(f"{len(errors)}/{reps} replicates failed; first errors: {errors[:3]}")
-    return out
+    failed = [(rep, error, few) for rep, _, error, few in out if error is not None]
+    if len(failed) > 0.2 * reps:
+        kind = InsufficientDataError if all(few for *_, few in failed) else RuntimeError
+        errors = [f"rep {rep}: {error}" for rep, error, _ in failed[:3]]
+        raise kind(f"{len(failed)}/{reps} replicates failed; first errors: {errors}")
+    return [(rep, value, error) for rep, value, error, _ in out]
 
 
 def _rep_record(rep: int, draw: SimulatedDraw, result: CiseResult) -> RepRecord:

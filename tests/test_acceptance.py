@@ -21,7 +21,7 @@ from attrition_conformal.eif import (counterfactual_terms, extrapolation_terms, 
 from attrition_conformal.pipelines import run_cise
 from attrition_conformal.rng import make_rng
 from attrition_conformal.simulation import (DgpSpec, dgp1_e_d, dgp1_e_r,
-                                            gen_dgp1, oracle_interval, run_mc)
+                                            generate, oracle_interval, run_mc)
 
 SEED = 20260810
 CFG = ConformalConfig(alpha=0.025, gamma=0.025, seed=SEED)
@@ -74,7 +74,7 @@ def test_criterion_1_split_cqr_marginal_coverage():
 
 def test_criterion_2_oracle_constant():
     """Oracle interval length at level 0.05 equals 5.5437 within 1e-3."""
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=10, seed=0))
+    draw = generate(DgpSpec(kind="dgp1", n=10, seed=0))
     _, _, length = oracle_interval(draw, 0.05)
     ok = abs(length - 5.5437) <= 1e-3
     _report(2, ok, f"oracle length {length:.4f} (target 5.5437 +- 1e-3)")
@@ -126,7 +126,7 @@ def _truth_setup(n=50_000, alpha=0.05, gamma=0.05, seed=SEED):
     intervals built from those bands at the true per-arm thresholds have
     interval scores |e|, with CDF 2*Phi(eta) - 1.
     """
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=n, seed=seed))
+    draw = generate(DgpSpec(kind="dgp1", n=n, seed=seed))
     ds = draw.dataset
     z = ndtri(1 - alpha / 2)
 
@@ -294,7 +294,7 @@ def test_criterion_9_extrapolation_nesting():
     gamma = CFG.gamma
     total, nested = 0, 0
     for rep in range(4):
-        draw = gen_dgp1(DgpSpec(kind="dgp1", n=2000, seed=SEED + 100 + rep))
+        draw = generate(DgpSpec(kind="dgp1", n=2000, seed=SEED + 100 + rep))
         ds = draw.dataset
         obs = np.flatnonzero(ds.r == 1)
         pseudo = obs[rng.random(obs.size) < 0.25]
@@ -340,9 +340,8 @@ def test_criterion_10_cli_determinism(tmp_path):
               and (s1 / "mc_long.csv").read_bytes() == (s2 / "mc_long.csv").read_bytes())
 
     from attrition_conformal.io import save_csv
-    from attrition_conformal.simulation import gen_dgp1 as _gen
 
-    draw = _gen(DgpSpec(kind="dgp1", n=600, seed=23))
+    draw = generate(DgpSpec(kind="dgp1", n=600, seed=23))
     data = tmp_path / "exp.csv"
     mapping = save_csv(draw.dataset, data)
     map_path = tmp_path / "map.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
-from attrition_conformal.conformal import (_CUM_EPS, ScoreSet, _weighted_quantiles, cqr_score,
+from attrition_conformal.conformal import (_CUM_EPS, ScoreSet, cqr_score,
                                            expand_interval, interval_score,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
@@ -127,11 +127,25 @@ def test_weighted_quantiles_match_brute_force(pairs, test_weights, level):
     """Ties, zero weights, a zero test weight and levels near 0 and 1."""
     scores = np.array([s for s, _ in pairs])
     weights = np.array([w for _, w in pairs])
-    order = np.argsort(scores, kind="stable")
-    got = _weighted_quantiles(scores[order], np.cumsum(weights[order]),
-                              np.array(test_weights), level)
+    got = weighted_quantile(ScoreSet(scores, weights, np.array(test_weights)), level)
     want = [_brute_force_quantile(scores, weights, tw, level) for tw in test_weights]
     assert got.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1), n_test=st.integers(1, 6),
+       level=st.floats(1e-6, 1 - 1e-6))
+def test_weighted_quantile_array_equals_scalar_calls(scores, seed, n_test, level):
+    """An array of test weights gives, bit for bit, the scalar call per weight."""
+    rng = make_rng(seed)
+    weights = rng.random(len(scores)) * rng.integers(0, 2, len(scores))
+    test_weights = np.append(rng.exponential(size=n_test), 0.0)
+    got = weighted_quantile(ScoreSet(scores, weights, test_weights), level)
+    want = [weighted_quantile(ScoreSet(scores, weights, float(tw)), level)
+            for tw in test_weights]
+    assert got.shape == test_weights.shape
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def test_weighted_quantile_monotone_in_level():

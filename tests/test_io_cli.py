@@ -9,7 +9,8 @@ from attrition_conformal.cli import main
 from attrition_conformal.data import ConformalConfig, DataValidationError, ExperimentDataset
 from attrition_conformal.io import ColumnMapping, load_csv, save_csv
 from attrition_conformal.pipelines import run_cise
-from attrition_conformal.simulation import DgpSpec, gen_dgp1
+from attrition_conformal.rng import child_seed
+from attrition_conformal.simulation import DgpSpec, generate
 
 
 def _write_mapping(path, covariates):
@@ -18,7 +19,7 @@ def _write_mapping(path, covariates):
 
 
 def test_csv_round_trip_exact(tmp_path):
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=200, seed=1))
+    draw = generate(DgpSpec(kind="dgp1", n=200, seed=1))
     ds = draw.dataset
     path = tmp_path / "data.csv"
     mapping = save_csv(ds, path)
@@ -179,7 +180,7 @@ def test_cmd_simulate_rho_with_appendix_e_is_usage_error(tmp_path):
 
 
 def test_cmd_analyze_outputs(tmp_path):
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=800, seed=11))
+    draw = generate(DgpSpec(kind="dgp1", n=800, seed=11))
     data = tmp_path / "exp.csv"
     mapping = save_csv(draw.dataset, data)
     map_path = tmp_path / "map.json"
@@ -226,7 +227,7 @@ def test_cmd_analyze_no_attrition_passthrough(tmp_path):
 
 
 def test_cmd_analyze_rerun_byte_identical(tmp_path):
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=600, seed=13))
+    draw = generate(DgpSpec(kind="dgp1", n=600, seed=13))
     data = tmp_path / "exp.csv"
     mapping = save_csv(draw.dataset, data)
     map_path = tmp_path / "map.json"
@@ -293,7 +294,7 @@ def test_manifest_command_parses_back_to_its_config(tmp_path):
     """The command a manifest echoes, which its digest hashes, is the run's config."""
     from attrition_conformal.cli import _build_parser
 
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=200, seed=3))
+    draw = generate(DgpSpec(kind="dgp1", n=200, seed=3))
     data, map_path = tmp_path / "d.csv", tmp_path / "map.json"
     _write_mapping(map_path, save_csv(draw.dataset, data).covariate_cols)
     runs = {"simulate": ["simulate", "--dgp", "dgp2", "--n", "200", "--reps", "1",
@@ -328,6 +329,39 @@ def test_too_few_rows_is_data_error_before_any_replicate(tmp_path, monkeypatch, 
         assert rc == 3
         err = capsys.readouterr().err
         assert "tiny.csv" in err and "4 data rows" in err
+
+
+def test_replicates_all_short_of_data_exit_3(tmp_path, capsys):
+    # 12 rows pass the row floor, but every replicate's folds are too small
+    data, map_path = tmp_path / "small.csv", tmp_path / "map.json"
+    mapping = save_csv(generate(DgpSpec(kind="dgp1", n=12, seed=1)).dataset, data)
+    _write_mapping(map_path, mapping.covariate_cols)
+    for method in ("cise", "wcqr_nested_exact"):
+        rc = main(["analyze", "--data", str(data), "--map", str(map_path), "--method", method,
+                   "--reps", "2", "--out", str(tmp_path / method)])
+        assert rc == 3
+        assert "2/2 replicates failed" in capsys.readouterr().err
+    assert main(["simulate", "--dgp", "dgp1", "--n", "12", "--reps", "2", "--method", "cise",
+                 "--out", str(tmp_path / "sim")]) == 3
+
+
+def test_replicate_failures_with_a_numerical_error_exit_4(tmp_path, monkeypatch):
+    from attrition_conformal import simulation
+    from attrition_conformal.data import InsufficientDataError
+
+    def short_then_singular(ds, method, cfg):
+        if cfg.seed == child_seed(0, 0):
+            raise ValueError("singular system")
+        raise InsufficientDataError("few rows")
+
+    monkeypatch.setattr(simulation, "run_method", short_then_singular)
+    data, map_path = tmp_path / "data.csv", tmp_path / "map.json"
+    mapping = save_csv(generate(DgpSpec(kind="dgp1", n=200, seed=3)).dataset, data)
+    _write_mapping(map_path, mapping.covariate_cols)
+    assert main(["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+                 "--reps", "2", "--out", str(tmp_path / "ana")]) == 4
+    assert main(["simulate", "--dgp", "dgp1", "--n", "200", "--reps", "2", "--method", "cise",
+                 "--out", str(tmp_path / "sim")]) == 4
 
 
 def test_run_cise_checks_both_arms_before_splitting():

@@ -9,7 +9,7 @@ from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1
                                            cise_step2, ipw_ate, run_cise,
                                            wcqr_nested_baseline)
 from attrition_conformal.rng import child_seed, make_rng
-from attrition_conformal.simulation import DgpSpec, compute_metrics, gen_dgp1, generate
+from attrition_conformal.simulation import DgpSpec, compute_metrics, generate
 
 def _linear_draw(n=600, attrition=True, noise=1.0, seed=0):
     """Simple linear DGP with known potential outcomes for pipeline checks."""
@@ -156,7 +156,7 @@ def test_cise_attrition_coverage_on_dgp1():
     # desk-scale version of the paper-style experiment: 5 replicates
     covs = []
     for rep in range(5):
-        draw = gen_dgp1(DgpSpec(kind="dgp1", n=1000, seed=100 + rep))
+        draw = generate(DgpSpec(kind="dgp1", n=1000, seed=100 + rep))
         cfg = ConformalConfig(alpha=0.025, gamma=0.025, seed=rep)
         res = run_cise(draw.dataset, cfg)
         m = compute_metrics(res.che_lo, res.che_hi, draw.ite[res.att_idx])
@@ -170,7 +170,7 @@ def test_extrapolation_nesting_on_holdout():
     rng = make_rng(33)
     total, nested = 0, 0
     for rep in range(4):
-        draw = gen_dgp1(DgpSpec(kind="dgp1", n=2000, seed=500 + rep))
+        draw = generate(DgpSpec(kind="dgp1", n=2000, seed=500 + rep))
         ds = draw.dataset
         obs = np.flatnonzero(ds.r == 1)
         pseudo = obs[rng.random(obs.size) < 0.25]
@@ -263,7 +263,7 @@ def test_ipw_reduces_to_diff_in_means_under_constant_propensities():
 
 def test_ipw_matches_truth_on_dgp1():
     # oracle: the observed-group ATE from the hidden truths of a large draw
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=5000, seed=77))
+    draw = generate(DgpSpec(kind="dgp1", n=5000, seed=77))
     ds = draw.dataset
     obs = ds.r == 1
     truth = float(draw.ite[obs].mean())

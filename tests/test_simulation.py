@@ -8,8 +8,7 @@ from attrition_conformal.data import ConformalConfig, ExperimentDataset
 from attrition_conformal.rng import child_seed
 from attrition_conformal.simulation import (DgpSpec, appendix_e_e_r, compute_metrics,
                                             dgp1_e_d, dgp1_f, dgp2_e_d, dgp2_e_r,
-                                            gen_dgp1, gen_dgp2, gen_dgp_appendix_e,
-                                            oracle_interval, run_mc)
+                                            generate, oracle_interval, run_mc)
 
 
 def test_dgp_spec_validation():
@@ -31,7 +30,7 @@ def test_dgp1_outcome_surface():
 
 def test_dgp1_equicorrelation():
     for rho in (0.0, 0.9):
-        draw = gen_dgp1(DgpSpec(kind="dgp1", n=50_000, rho=rho, seed=5))
+        draw = generate(DgpSpec(kind="dgp1", n=50_000, rho=rho, seed=5))
         c = np.corrcoef(draw.dataset.x[:, :4].T)
         off = c[np.triu_indices(4, 1)]
         assert np.all(np.abs(off - rho) < 0.01)
@@ -39,7 +38,7 @@ def test_dgp1_equicorrelation():
 
 
 def test_dgp1_observation_pattern():
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=2000, seed=1))
+    draw = generate(DgpSpec(kind="dgp1", n=2000, seed=1))
     ds = draw.dataset
     assert np.isnan(ds.y[ds.r == 0]).all()
     obs = ds.r == 1
@@ -58,25 +57,24 @@ def test_dgp2_spot_values():
     from attrition_conformal.simulation import dgp2_cate
 
     assert dgp2_cate(np.zeros((1, 10)))[0] == pytest.approx(0.8)
-    draw = gen_dgp2(DgpSpec(kind="dgp2", n=5000, seed=2))
+    draw = generate(DgpSpec(kind="dgp2", n=5000, seed=2))
     resid = draw.ite - draw.cate
     assert abs(resid.var() - 2.0) < 0.15  # two independent unit noises
 
 
 def test_appendix_e_rates():
-    mcar = gen_dgp_appendix_e(DgpSpec(kind="appendixE", n=50_000, seed=3,
-                                      missingness="MCAR"))
+    mcar = generate(DgpSpec(kind="appendixE", n=50_000, seed=3, missingness="MCAR"))
     assert abs((mcar.dataset.r == 0).mean() - 0.2) < 0.01
     assert appendix_e_e_r(np.zeros((1, 5)), np.ones(1))[0] == pytest.approx(expit(0.3))
     assert expit(0.3) == pytest.approx(0.5744, abs=1e-4)
-    mar = gen_dgp_appendix_e(DgpSpec(kind="appendixE", n=50_000, seed=4))
+    mar = generate(DgpSpec(kind="appendixE", n=50_000, seed=4))
     # E[Y1 | X=0] = 0: the CATE at the origin vanishes
     near0 = np.all(np.abs(mar.dataset.x) < 0.3, axis=1)
     assert abs(mar.cate[near0].mean()) < 0.2
 
 
 def test_oracle_interval_constant():
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=100, seed=6))
+    draw = generate(DgpSpec(kind="dgp1", n=100, seed=6))
     lo, hi, length = oracle_interval(draw, 0.05)
     assert length == pytest.approx(5.5437, abs=1e-3)
     assert length == pytest.approx(2 * ndtri(0.975) * math.sqrt(2), abs=1e-9)
@@ -86,7 +84,7 @@ def test_oracle_interval_constant():
 
 
 def test_oracle_interval_covers_at_nominal_rate():
-    draw = gen_dgp1(DgpSpec(kind="dgp1", n=50_000, seed=7))
+    draw = generate(DgpSpec(kind="dgp1", n=50_000, seed=7))
     lo, hi, _ = oracle_interval(draw, 0.05)
     cover = ((lo <= draw.ite) & (draw.ite <= hi)).mean()
     assert abs(cover - 0.95) < 3 * math.sqrt(0.05 * 0.95 / 50_000)
@@ -207,8 +205,8 @@ def test_run_replicates_error_taxonomy(monkeypatch):
     dgp = DgpSpec(kind="dgp1", n=200, seed=0)
     cfg = ConformalConfig()
     monkeypatch.setattr(simulation, "run_method", failing(InsufficientDataError("few rows")))
-    with pytest.raises(RuntimeError, match=r"5/5 replicates failed; first errors: "
-                                           r"\['rep 0: InsufficientDataError: few rows'"):
+    with pytest.raises(InsufficientDataError, match=r"5/5 replicates failed; first errors: "
+                                                    r"\['rep 0: InsufficientDataError: few rows'"):
         simulation.run_replicates(dgp, "cise", cfg, reps=5,
                                    summarize=simulation._rep_record)
     monkeypatch.setattr(simulation, "run_method", failing(DataValidationError("bad column")))

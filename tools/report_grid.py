@@ -3,18 +3,20 @@
     PYTHONPATH=<checkout>/src python tools/report_grid.py OUT
 
 runs the package CLI (whichever ``attrition_conformal`` is on the path)
-over a fixed set of commands and writes 40 files under OUT besides the run
+over a fixed set of 21 commands and writes 44 files under OUT besides the run
 manifests:
 
 - ``simulate`` on dgp1, dgp2 and appendixE with each method, glm, n=400,
   3 reps; dgp1 with cise also once more with ``--threads 2``, and the tool
   exits non-zero unless that cell's ``mc_report.json`` and ``mc_long.csv``
   are byte-equal to the one-worker cell's;
+- cise with glm, n=400, 3 reps, on dgp2 with ``--rho 0.5`` and on appendixE
+  with ``--missingness MCAR``, so that correlated and MCAR draws are covered;
 - each method with random_forest on dgp1, n=300, 1 rep;
 - ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps), and
   with cise and wcqr_nested_inexact using random_forest (2 reps), plus the
   CSV and its mapping file;
-- ``report`` over the glm ``simulate`` outputs.
+- ``report`` over the nine one-worker glm ``simulate`` cells of the first item.
 
 Run it against two checkouts and compare with ``diff -r -x manifest.json``;
 manifests carry timestamps and wall times, so they always differ.
@@ -59,6 +61,11 @@ def build_grid(out: Path) -> None:
     for name in ("mc_report.json", "mc_long.csv"):
         if (one / name).read_bytes() != (two / name).read_bytes():
             raise SystemExit(f"{name} differs between --threads 1 and --threads 2")
+    for name, dgp_args in (("dgp2_rho05", ["--dgp", "dgp2", "--rho", "0.5"]),
+                           ("appendixE_mcar", ["--dgp", "appendixE", "--missingness", "MCAR"])):
+        _run(["simulate", *dgp_args, "--n", "400", "--reps", "3", "--method", "cise",
+              "--learner", "glm", "--seed", str(SEED), *LEVELS,
+              "--out", str(out / "simulate" / f"{name}_cise_glm")])
     for method in METHODS:
         _run(["simulate", "--dgp", "dgp1", "--n", "300", "--reps", "1", "--method", method,
               "--learner", "random_forest", "--seed", str(SEED), *LEVELS,
