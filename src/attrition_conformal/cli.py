@@ -11,8 +11,9 @@ from pathlib import Path
 
 from .data import (LEARNERS, MIN_ROWS, ConformalConfig, DataValidationError,
                    InsufficientDataError)
-from .io import (ColumnMapping, RunManifest, dump_json, load_csv, mc_report_dict,
-                 read_json_object, write_csv, write_mc_long_csv)
+from .io import (ColumnMapping, RunManifest, ate_summary_dict, dump_json, load_csv,
+                 mc_report_dict, read_json_object, report_row, write_csv,
+                 write_mc_long_csv)
 from .pipelines import aggregate_ate, diff_in_means, ipw_ate
 from .simulation import METHODS, DgpSpec, run_mc, run_replicates
 
@@ -35,31 +36,27 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "effects under experiment attrition")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="Monte Carlo study on a synthetic DGP")
+    shared = argparse.ArgumentParser(add_help=False)  # simulate's and analyze's options
+    shared.add_argument("--method", required=True, choices=METHODS)
+    shared.add_argument("--learner", default="glm", choices=LEARNERS)
+    shared.add_argument("--alpha", type=float, default=0.025)
+    shared.add_argument("--gamma", type=float, default=0.025)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out", required=True)
+    shared.add_argument("--threads", type=int, default=1)
+
+    sim = sub.add_parser("simulate", parents=[shared],
+                         help="Monte Carlo study on a synthetic DGP")
     sim.add_argument("--dgp", required=True, choices=("dgp1", "dgp2", "appendixE"))
     sim.add_argument("--n", required=True, type=int)
     sim.add_argument("--reps", required=True, type=int)
-    sim.add_argument("--method", required=True, choices=METHODS)
-    sim.add_argument("--learner", default="glm", choices=LEARNERS)
-    sim.add_argument("--alpha", type=float, default=0.025)
-    sim.add_argument("--gamma", type=float, default=0.025)
     sim.add_argument("--rho", type=float, default=None)
     sim.add_argument("--missingness", default="MAR", choices=("MAR", "MCAR"))
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--threads", type=int, default=1)
 
-    ana = sub.add_parser("analyze", help="run a pipeline on a CSV dataset")
+    ana = sub.add_parser("analyze", parents=[shared], help="run a pipeline on a CSV dataset")
     ana.add_argument("--data", required=True)
     ana.add_argument("--map", required=True, dest="mapping")
-    ana.add_argument("--method", required=True, choices=METHODS)
     ana.add_argument("--reps", type=int, default=10)
-    ana.add_argument("--learner", default="glm", choices=LEARNERS)
-    ana.add_argument("--alpha", type=float, default=0.025)
-    ana.add_argument("--gamma", type=float, default=0.025)
-    ana.add_argument("--seed", type=int, default=0)
-    ana.add_argument("--out", required=True)
-    ana.add_argument("--threads", type=int, default=1)
 
     rep = sub.add_parser("report", help="merge mc_report.json files into a table")
     rep.add_argument("--in", required=True, nargs="+", dest="inputs")
@@ -91,9 +88,8 @@ def cmd_simulate(args, parser) -> int:
     dump_json(mc_report_dict(report, manifest.digest), out / "mc_report.json")
     write_mc_long_csv(report, out / "mc_long.csv")
     manifest.write(out / "manifest.json")
-    cov = "n/a" if report.mean_coverage is None else f"{report.mean_coverage:.3f}"
-    length = "n/a" if report.mean_length is None else f"{report.mean_length:.3f}"
-    print(f"{args.method} on {args.dgp}: coverage {cov}, length {length}, "
+    print(f"{args.method} on {args.dgp}: coverage {report.aggregate['mean_coverage']:.3f}, "
+          f"length {report.aggregate['mean_length']:.3f}, "
           f"{report.n_failed} failed reps -> {out}")
     return 0
 
@@ -124,23 +120,8 @@ def cmd_analyze(args, parser) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    estimates = {"ATER1": summary.ate_r1, "ATER0": summary.ate_r0,
-                 "ATEall": summary.ate_all, "Length": summary.length}
-    ses = {"ATER1": summary.se_r1, "ATER0": summary.se_r0,
-           "ATEall": summary.se_all, "Length": summary.se_length}
-    summary_doc = {
-        "columns": ["ATER1", "ATER0", "ATEall", "Length"],
-        "method": args.method,
-        "estimates": estimates,
-        "standard_errors": ses,
-        "ipw": {"ATER1": ipw.estimate, "se": ipw.se},
-        "n_r1": summary.n_r1,
-        "n_r0": summary.n_r0,
-        "reps": args.reps,
-        "failed_reps": failures,
-        "notes": (None if summary.n_r0 else "no attrition rows: ATEall equals ATER1"),
-    }
-    dump_json(summary_doc, out / "ate_summary.json")
+    dump_json(ate_summary_dict(summary, ipw, args.method, args.reps, failures),
+              out / "ate_summary.json")
 
     write_csv(out / "intervals.csv", ["row", "mean_lo", "mean_hi", "finite_reps"],
               ([int(row), float(lo), float(hi), int(cnt)]
@@ -157,20 +138,11 @@ def cmd_report(args, parser) -> int:
     for path in args.inputs:
         doc = read_json_object(path)
         try:
-            agg, dgp, config = doc["aggregate"], doc["dgp"], doc["config"]
-            for key, value in (("aggregate", agg), ("dgp", dgp), ("config", config)):
-                if not isinstance(value, dict):
+            for key in ("aggregate", "dgp", "config"):
+                if not isinstance(doc[key], dict):
                     raise DataValidationError(f"{path}: report key {key!r} holds "
-                                              f"{type(value).__name__}, not an object")
-            row = {
-                "method": doc["method"], "learner": doc.get("learner", ""),
-                "dgp": dgp["kind"], "n": dgp["n"], "rho": dgp["rho"],
-                "alpha": config["alpha"], "gamma": config["gamma"],
-                "coverage_mean": agg["mean_coverage"], "coverage_sd": agg["sd_coverage"],
-                "length_mean": agg["mean_length"], "length_sd": agg["sd_length"],
-                "n_reps": agg["n_reps"], "n_failed": agg["n_failed"],
-                "run_digest": doc.get("run_digest", ""),
-            }
+                                              f"{type(doc[key]).__name__}, not an object")
+            row = report_row(doc)
         except KeyError as exc:
             raise DataValidationError(f"{path}: report is missing key {exc}") from None
         # the values the merge sorts or groups by must compare with each other

@@ -16,14 +16,11 @@ _CUM_EPS = 1e-12
 
 
 def cqr_score(y, q_lo, q_hi):
-    """CQR nonconformity: max(q_lo - y, y - q_hi); negative strictly inside."""
-    y = np.asarray(y, dtype=np.float64)
-    q_lo = np.asarray(q_lo, dtype=np.float64)
-    q_hi = np.asarray(q_hi, dtype=np.float64)
-    if np.any(q_lo > q_hi):
+    """CQR nonconformity (Romano, Patterson & Candes, 2019): the interval
+    score of the point [y, y], max(q_lo - y, y - q_hi); negative strictly inside."""
+    if np.any(np.asarray(q_lo, dtype=np.float64) > np.asarray(q_hi, dtype=np.float64)):
         raise ValueError("quantile pair out of order")
-    out = np.maximum(q_lo - y, y - q_hi)
-    return float(out) if out.ndim == 0 else out
+    return interval_score(y, y, q_lo, q_hi)
 
 
 def interval_score(c_lo, c_hi, h_lo, h_hi):
@@ -65,16 +62,18 @@ class ScoreSet:
         object.__setattr__(self, "weights", weights)
 
 
+def _order_rank(level: float, n: int) -> int:
+    """ceil(level * (n + 1)), the split-conformal rank among n scores (Lei &
+    Candes, 2021); it exceeds n when the level asks for more than the sample."""
+    return math.ceil(level * (n + 1))
+
+
 def unweighted_quantile(scores: np.ndarray, level: float) -> float:
-    """The ceil(level * (n + 1))-th order statistic, or +inf past the sample."""
+    """The :func:`_order_rank`-th order statistic, or +inf past the sample."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
-    if n == 0:
-        return math.inf
-    k = math.ceil(level * (n + 1))
-    if k > n:
-        return math.inf
-    return float(np.sort(scores)[k - 1])
+    k = _order_rank(level, n)
+    return math.inf if n == 0 or k > n else float(np.sort(scores)[k - 1])
 
 
 def weighted_quantile(ss: ScoreSet, level: float) -> float | np.ndarray:

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .conformal import _order_rank
+
 
 @dataclass(frozen=True)
 class PsiTerms:
@@ -76,13 +78,13 @@ psi1_eval = psi0_eval = psiC_eval = psi_eval
 
 
 def initial_eta(scores, level: float) -> float:
-    """The ceil(level * (n + 1))-th order statistic, clamped to the maximum."""
+    """The split-conformal order statistic, clamped to the maximum."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("initial_eta needs at least one score")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    k = min(math.ceil(level * (scores.size + 1)), scores.size)
+    k = min(_order_rank(level, scores.size), scores.size)
     return float(np.sort(scores)[k - 1])
 
 

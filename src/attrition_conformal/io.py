@@ -14,7 +14,8 @@ import numpy as np
 
 from . import __version__ as LIBRARY_VERSION
 from .data import DataValidationError, ExperimentDataset
-from .simulation import McReport
+from .pipelines import AteEstimate, AteSummary
+from .simulation import AGGREGATES, McReport
 RNG_NOTE = ("numpy Philox4x64-10 keyed by the 64-bit seed; "
             "child streams via splitmix64(splitmix64(seed) XOR splitmix64(index + 1))")
 
@@ -254,25 +255,50 @@ def write_csv(path, header: list, rows) -> None:
 def mc_report_dict(report: McReport, run_digest: str) -> dict:
     """Deterministic JSON form of an MC report (wall time goes to the manifest)."""
     return {
-        "dgp": {"kind": report.dgp.kind, "n": report.dgp.n, "rho": report.dgp.rho,
-                "missingness": report.dgp.missingness, "seed": report.dgp.seed,
-                "k": report.dgp.k},
+        "dgp": {**asdict(report.dgp), "k": report.dgp.k},
         "method": report.method,
         "learner": report.cfg.learner,
         "config": {"alpha": report.cfg.alpha, "gamma": report.cfg.gamma,
                    "seed": report.cfg.seed},
         "run_digest": run_digest,
-        "aggregate": {
-            "mean_coverage": report.mean_coverage,
-            "sd_coverage": report.sd_coverage,
-            "mean_length": report.mean_length,
-            "sd_length": report.sd_length,
-            "mean_ate_r1": report.mean_ate_r1,
-            "mean_ate_attrition": report.mean_ate_attrition,
-            "n_reps": len(report.reps),
-            "n_failed": report.n_failed,
-        },
+        "aggregate": {**report.aggregate, "n_reps": len(report.reps),
+                      "n_failed": report.n_failed},
         "reps": [asdict(r) for r in report.reps],
+    }
+
+
+def report_row(doc: dict) -> dict:
+    """The ``report`` merge's row for one mc_report.json document: the run,
+    then each aggregate with a spread as ``<name>_mean`` and ``<name>_sd``.
+    A missing key raises KeyError."""
+    agg, dgp, config = doc["aggregate"], doc["dgp"], doc["config"]
+    return {
+        "method": doc["method"], "learner": doc.get("learner", ""),
+        "dgp": dgp["kind"], "n": dgp["n"], "rho": dgp["rho"],
+        "alpha": config["alpha"], "gamma": config["gamma"],
+        **{f"{name}_{stat}": agg[f"{stat}_{name}"]
+           for name, _, spread in AGGREGATES if spread for stat in ("mean", "sd")},
+        "n_reps": agg["n_reps"], "n_failed": agg["n_failed"],
+        "run_digest": doc.get("run_digest", ""),
+    }
+
+
+# ate_summary.json's columns: the AteSummary estimate and standard-error fields
+ATE_COLUMNS = {"ATER1": ("ate_r1", "se_r1"), "ATER0": ("ate_r0", "se_r0"),
+               "ATEall": ("ate_all", "se_all"), "Length": ("length", "se_length")}
+
+
+def ate_summary_dict(summary: AteSummary, ipw: AteEstimate, method: str, reps: int,
+                     failures: list) -> dict:
+    """Deterministic JSON form of an ``analyze`` run's ATE summary."""
+    return {
+        "columns": list(ATE_COLUMNS),
+        "method": method,
+        "estimates": {col: getattr(summary, est) for col, (est, _) in ATE_COLUMNS.items()},
+        "standard_errors": {col: getattr(summary, se) for col, (_, se) in ATE_COLUMNS.items()},
+        "ipw": {"ATER1": ipw.estimate, "se": ipw.se},
+        "n_r1": summary.n_r1, "n_r0": summary.n_r0, "reps": reps, "failed_reps": failures,
+        "notes": None if summary.n_r0 else "no attrition rows: ATEall equals ATER1",
     }
 
 

@@ -211,7 +211,10 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     h_lo, h_hi = fit_endpoints(tr_pos, 6, 7)
 
     # P(R | X, D) needs both classes; the step-2 training fold has none with
-    # r = 0, so the attrition rows join the fit.
+    # r = 0, so the attrition rows join the fit.  Its odds carry this frame's
+    # share of observed rows, and the solve frame below swaps step2_train for
+    # step2_cal: r / pi is right only while the two folds' counts differ by
+    # at most one row, as STEP2_TRAIN_FRAC = 0.5 makes them.
     pi_rows = np.concatenate([obstr, att])
     pi_model = fit_propensity(_with_treatment(ds.x[pi_rows], ds.d[pi_rows]),
                               ds.r[pi_rows], cfg.learner, _role_seed(cfg.seed, 8))
@@ -396,9 +399,12 @@ class AteSummary:
     se_length: float | None = None
 
 
-def _mean_and_spread(values: list) -> tuple[float, float]:
-    spread = float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
-    return float(np.mean(values)), spread
+def mean_and_spread(values: list) -> tuple[float, float]:
+    """The mean and the ddof=1 spread, which is NaN for one value or an infinite mean."""
+    mean = float(np.mean(values))
+    if len(values) < 2 or math.isinf(mean):
+        return mean, math.nan
+    return mean, float(np.std(values, ddof=1))
 
 
 def aggregate_ate(intervals: list, ds: ExperimentDataset, ate_r1: float,
@@ -433,8 +439,8 @@ def aggregate_ate(intervals: list, ds: ExperimentDataset, ate_r1: float,
     if n_r0 == 0 or not ates:
         return AteSummary(ate_r1=ate_r1, se_r1=se_r1, ate_r0=None, se_r0=None,
                           ate_all=ate_r1, se_all=se_r1, n_r1=n_r1, n_r0=n_r0, **rows)
-    ate_r0, se_r0 = _mean_and_spread(ates)
-    length, se_length = _mean_and_spread(lengths)
+    ate_r0, se_r0 = mean_and_spread(ates)
+    length, se_length = mean_and_spread(lengths)
     n_all = n_r1 + n_r0
     ate_all = (n_r1 * ate_r1 + n_r0 * ate_r0) / n_all
     se_all = math.sqrt((n_r1 / n_all * se_r1) ** 2 + (n_r0 / n_all * se_r0) ** 2)

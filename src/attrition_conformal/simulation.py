@@ -12,8 +12,8 @@ from scipy.special import betainc, expit, ndtr, ndtri
 
 from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError)
-from .pipelines import (CiseResult, aggregate_ate, diff_in_means, run_cise,
-                        wcqr_nested_baseline)
+from .pipelines import (CiseResult, aggregate_ate, diff_in_means, mean_and_spread,
+                        run_cise, wcqr_nested_baseline)
 from .rng import child_seed, make_rng
 
 DGP1 = "dgp1"
@@ -205,18 +205,20 @@ class RepRecord:
     error: str | None = None
 
 
+# The Monte Carlo aggregates: (name, RepRecord field, whether it has a
+# spread).  McReport.aggregate holds mean_<name>, then sd_<name> for those
+# with a spread, in this order, over the replicates that did not fail.
+AGGREGATES = (("coverage", "coverage", True), ("length", "avg_length", True),
+              ("ate_r1", "ate_r1", False), ("ate_attrition", "ate_attrition", False))
+
+
 @dataclass
 class McReport:
     dgp: DgpSpec
     method: str
     cfg: ConformalConfig
     reps: list
-    mean_coverage: float | None
-    sd_coverage: float | None
-    mean_length: float | None
-    sd_length: float | None
-    mean_ate_r1: float | None
-    mean_ate_attrition: float | None
+    aggregate: dict
     n_failed: int
     wall_time: float = field(default=0.0, compare=False)
 
@@ -289,17 +291,6 @@ def _rep_record(rep: int, draw: SimulatedDraw, result: CiseResult) -> RepRecord:
                      ate_attrition=ate.ate_r0, n_attrition=int(att.size))
 
 
-def _mean_sd(values: list) -> tuple[float | None, float | None]:
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None, None
-    if any(math.isinf(v) for v in vals):
-        return math.inf, None
-    mean = float(np.mean(vals))
-    sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else None
-    return mean, sd
-
-
 def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, reps: int,
            workers: int = 1) -> McReport:
     """Monte Carlo replications with per-rep derived seeds.
@@ -313,13 +304,12 @@ def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, reps: int,
     records = [value if error is None else RepRecord(rep=rep, error=error)
                for rep, value, error in run_replicates(dgp, method, cfg, reps, _rep_record,
                                                        workers)]
-    n_failed = sum(1 for r in records if r.error is not None)
-    mean_cov, sd_cov = _mean_sd([r.coverage for r in records])
-    mean_len, sd_len = _mean_sd([r.avg_length for r in records])
-    mean_ate_r1, _ = _mean_sd([r.ate_r1 for r in records])
-    mean_ate_att, _ = _mean_sd([r.ate_attrition for r in records])
-    return McReport(dgp=dgp, method=method, cfg=cfg, reps=records,
-                    mean_coverage=mean_cov, sd_coverage=sd_cov,
-                    mean_length=mean_len, sd_length=sd_len,
-                    mean_ate_r1=mean_ate_r1, mean_ate_attrition=mean_ate_att,
-                    n_failed=n_failed, wall_time=time.time() - start)
+    done = [r for r in records if r.error is None]
+    aggregate = {}
+    for name, attr, spread in AGGREGATES:
+        mean, sd = mean_and_spread([getattr(r, attr) for r in done])
+        aggregate[f"mean_{name}"] = mean
+        if spread:
+            aggregate[f"sd_{name}"] = sd
+    return McReport(dgp=dgp, method=method, cfg=cfg, reps=records, aggregate=aggregate,
+                    n_failed=len(records) - len(done), wall_time=time.time() - start)

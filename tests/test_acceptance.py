@@ -83,7 +83,7 @@ def test_criterion_2_oracle_constant():
 def test_criterion_3_cise_coverage(cise_glm_mc, cise_forest_mc):
     """DGP1, n=1000, rho=0, alpha=gamma=0.025, 25 reps: mean attrition-group
     ITE coverage >= 0.90 for both learner families."""
-    g, f = cise_glm_mc.mean_coverage, cise_forest_mc.mean_coverage
+    g, f = cise_glm_mc.aggregate["mean_coverage"], cise_forest_mc.aggregate["mean_coverage"]
     wall = cise_glm_mc.wall_time + cise_forest_mc.wall_time
     ok = g >= 0.90 and f >= 0.90 and wall < 600
     _report(3, ok, f"attrition coverage glm {g:.4f}, forest {f:.4f} "
@@ -93,10 +93,10 @@ def test_criterion_3_cise_coverage(cise_glm_mc, cise_forest_mc):
 def test_criterion_4_length_ordering(cise_forest_mc, wcqr_forest_mc):
     """Matched seeds on DGP1 n=1000, 25 reps, forest learners: mean length of
     the two-step method below the nested baseline, both covering >= 0.90."""
-    len_cise = cise_forest_mc.mean_length
-    len_wcqr = wcqr_forest_mc.mean_length
-    cov_cise = cise_forest_mc.mean_coverage
-    cov_wcqr = wcqr_forest_mc.mean_coverage
+    len_cise = cise_forest_mc.aggregate["mean_length"]
+    len_wcqr = wcqr_forest_mc.aggregate["mean_length"]
+    cov_cise = cise_forest_mc.aggregate["mean_coverage"]
+    cov_wcqr = wcqr_forest_mc.aggregate["mean_coverage"]
     wall = cise_forest_mc.wall_time + wcqr_forest_mc.wall_time
     ok = (math.isfinite(len_cise) and math.isfinite(len_wcqr)
           and len_cise < len_wcqr and cov_cise >= 0.90 and cov_wcqr >= 0.90
@@ -110,8 +110,8 @@ def test_criterion_5_baseline_conservative():
     baseline with forest learners: mean coverage >= 0.97."""
     dgp = DgpSpec(kind="appendixE", n=2000, seed=SEED)
     report = run_mc(dgp, "wcqr_nested_exact", FOREST_CFG, reps=25)
-    ok = report.mean_coverage >= 0.97
-    _report(5, ok, f"baseline coverage {report.mean_coverage:.4f} (>= 0.97)")
+    ok = report.aggregate["mean_coverage"] >= 0.97
+    _report(5, ok, f"baseline coverage {report.aggregate['mean_coverage']:.4f} (>= 0.97)")
 
 
 # ---- criteria 6 and 7: influence functions at the truth ----------------------

@@ -17,8 +17,14 @@ def test_cqr_score_values():
     assert cqr_score(0.0, -1.0, 1.0) == -1.0
     assert cqr_score(2.0, -1.0, 1.0) == 1.0
     assert cqr_score(5.0, 5.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="quantile pair out of order"):
         cqr_score(0.0, 1.0, -1.0)
+    # the CQR score is the interval score of the point [y, y], bit for bit
+    y, q_lo, spread = make_rng(2).standard_normal((3, 200))
+    q_hi = q_lo + np.abs(spread)
+    assert cqr_score(y, q_lo, q_hi).tobytes() == interval_score(y, y, q_lo, q_hi).tobytes()
+    with pytest.raises(ValueError, match="quantile pair out of order"):
+        cqr_score(y, q_hi + 1.0, q_lo)
 
 
 def test_interval_score_values():

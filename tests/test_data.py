@@ -193,6 +193,9 @@ def test_split_partition_property(n, pattern_seed, response_rate, seed):
     cal_obs = plan.calibration[r[plan.calibration] == 1]
     merged2 = np.concatenate([plan.step2_train, plan.step2_cal])
     assert np.array_equal(np.sort(merged2), np.sort(cal_obs))
+    # cise_step2's response weights r / pi hold only while the two step-2
+    # folds' counts differ by at most one row
+    assert abs(plan.step2_train.size - plan.step2_cal.size) <= 1
 
 
 def test_split_fraction_rounding_within_one_row():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attrition_conformal.conformal import unweighted_quantile
 from attrition_conformal.eif import (EtaSolution, counterfactual_terms,
                                      extrapolation_terms, initial_eta, psi_eval,
                                      solve_smallest_eta)
@@ -86,6 +87,17 @@ def test_initial_eta_order_statistics():
     assert initial_eta([4.2], 0.5) == 4.2
     # level 0.975, n=39: ceil(0.975*40) = 39, clamped inside
     assert initial_eta(np.arange(1.0, 40.0), 0.975) == 39.0
+    # the split-conformal order statistic, clamped where unweighted_quantile
+    # would pass the sample
+    rng = make_rng(4)
+    for n in (1, 2, 7, 39, 100):
+        scores = rng.standard_normal(n)
+        for level in (0.05, 0.5, 0.9, 0.95, 0.975):
+            if math.ceil(level * (n + 1)) <= n:
+                assert initial_eta(scores, level) == unweighted_quantile(scores, level)
+            else:
+                assert initial_eta(scores, level) == scores.max()
+                assert unweighted_quantile(scores, level) == math.inf
     with pytest.raises(ValueError):
         initial_eta([], 0.5)
     with pytest.raises(ValueError):

@@ -132,6 +132,10 @@ def test_cmd_simulate_writes_three_files(tmp_path):
     assert (out / "manifest.json").exists()
     report = json.loads((out / "mc_report.json").read_text())
     assert len(report["reps"]) == 5
+    assert list(report["dgp"]) == ["kind", "n", "rho", "missingness", "seed", "k"]
+    assert list(report["aggregate"]) == ["mean_coverage", "sd_coverage", "mean_length",
+                                         "sd_length", "mean_ate_r1", "mean_ate_attrition",
+                                         "n_reps", "n_failed"]
 
 
 def test_cmd_simulate_rerun_is_byte_identical(tmp_path):
@@ -191,7 +195,10 @@ def test_cmd_analyze_outputs(tmp_path):
                "--gamma", "0.05", "--seed", "5", "--out", str(out)])
     assert rc == 0
     summary = json.loads((out / "ate_summary.json").read_text())
+    assert list(summary) == ["columns", "method", "estimates", "standard_errors", "ipw",
+                             "n_r1", "n_r0", "reps", "failed_reps", "notes"]
     assert summary["columns"] == ["ATER1", "ATER0", "ATEall", "Length"]
+    assert list(summary["estimates"]) == list(summary["standard_errors"]) == summary["columns"]
     for key in ("ATER1", "ATER0", "ATEall", "Length"):
         assert summary["estimates"][key] is not None
     assert summary["ipw"]["ATER1"] is not None
@@ -255,6 +262,9 @@ def test_cmd_report_merges_and_dedups(tmp_path):
     assert rc == 0
     merged = json.loads((out / "report.json").read_text())
     assert len(merged["rows"]) == 2
+    assert (out / "report.csv").read_text().splitlines()[0] == (
+        "method,learner,dgp,n,rho,alpha,gamma,coverage_mean,coverage_sd,length_mean,"
+        "length_sd,n_reps,n_failed,run_digest")
     # merging is order-independent
     out_rev = tmp_path / "merged_rev"
     rc = main(["report", "--in", str(run2 / "mc_report.json"),

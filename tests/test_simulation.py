@@ -129,13 +129,13 @@ def test_run_mc_single_rep_and_determinism():
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=9)
     one = run_mc(dgp, "cise", cfg, reps=1)
     assert len(one.reps) == 1
-    assert one.sd_coverage is None  # SDs absent with a single replicate
+    assert math.isnan(one.aggregate["sd_coverage"])  # no spread with a single replicate
 
     a = run_mc(dgp, "cise", cfg, reps=3)
     b = run_mc(dgp, "cise", cfg, reps=3)
     for ra, rb in zip(a.reps, b.reps):
         assert ra == rb
-    assert a.mean_coverage == b.mean_coverage
+    assert a.aggregate["mean_coverage"] == b.aggregate["mean_coverage"]
 
 
 def test_run_mc_rejects_unknown_method():
@@ -150,7 +150,7 @@ def test_run_mc_covers_on_every_generator():
         report = run_mc(DgpSpec(kind=kind, n=1000, rho=rho, seed=3), "cise",
                         cfg, reps=3)
         assert report.n_failed == 0
-        assert report.mean_coverage >= 0.85
+        assert report.aggregate["mean_coverage"] >= 0.85
 
 
 def test_coverage_monotone_in_miscoverage_budget():
@@ -159,7 +159,7 @@ def test_coverage_monotone_in_miscoverage_budget():
     dgp = DgpSpec(kind="dgp1", n=800, seed=42)
     wide = run_mc(dgp, "cise", ConformalConfig(alpha=0.05, gamma=0.05, seed=42), reps=5)
     tight = run_mc(dgp, "cise", ConformalConfig(alpha=0.01, gamma=0.01, seed=42), reps=5)
-    assert tight.mean_coverage >= wide.mean_coverage - 0.05
+    assert tight.aggregate["mean_coverage"] >= wide.aggregate["mean_coverage"] - 0.05
 
 
 def test_run_mc_dgp1_glm_coverage_and_length_band():
@@ -168,8 +168,8 @@ def test_run_mc_dgp1_glm_coverage_and_length_band():
     dgp = DgpSpec(kind="dgp1", n=1000, rho=0.0, seed=20260810)
     cfg = ConformalConfig(alpha=0.025, gamma=0.025, seed=20260810)
     report = run_mc(dgp, "cise", cfg, reps=25)
-    assert report.mean_coverage >= 0.90
-    assert 5.5436 <= report.mean_length <= 3 * 5.5436
+    assert report.aggregate["mean_coverage"] >= 0.90
+    assert 5.5436 <= report.aggregate["mean_length"] <= 3 * 5.5436
 
 
 def test_run_mc_parallel_matches_serial():
