@@ -136,26 +136,7 @@ def cmd_analyze(args, parser) -> int:
 def cmd_report(args, parser) -> int:
     seen = {}
     for path in args.inputs:
-        doc = read_json_object(path)
-        try:
-            for key in ("aggregate", "dgp", "config"):
-                if not isinstance(doc[key], dict):
-                    raise DataValidationError(f"{path}: report key {key!r} holds "
-                                              f"{type(doc[key]).__name__}, not an object")
-            row = report_row(doc)
-        except KeyError as exc:
-            raise DataValidationError(f"{path}: report is missing key {exc}") from None
-        # the values the merge sorts or groups by must compare with each other
-        for key, field, kinds in (("method", "method", str), ("dgp.kind", "dgp", str),
-                                  ("dgp.n", "n", int), ("dgp.rho", "rho", (int, float)),
-                                  ("config.alpha", "alpha", (int, float)),
-                                  ("config.gamma", "gamma", (int, float)),
-                                  ("run_digest", "run_digest", str)):
-            value = row[field]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                want = {str: "a string", int: "an integer"}.get(kinds, "a number")
-                raise DataValidationError(f"{path}: report key {key!r} holds "
-                                          f"{type(value).__name__}, not {want}")
+        row = report_row(read_json_object(path), path)
         seen.setdefault(row["run_digest"], row)  # dedup by manifest digest
     rows = list(seen.values())
     levels = {(r["alpha"], r["gamma"]) for r in rows}

@@ -6,7 +6,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -15,7 +15,8 @@ import numpy as np
 from . import __version__ as LIBRARY_VERSION
 from .data import DataValidationError, ExperimentDataset
 from .pipelines import AteEstimate, AteSummary
-from .simulation import AGGREGATES, McReport
+from .simulation import AGGREGATES, McReport, RepRecord
+
 RNG_NOTE = ("numpy Philox4x64-10 keyed by the 64-bit seed; "
             "child streams via splitmix64(splitmix64(seed) XOR splitmix64(index + 1))")
 
@@ -267,20 +268,40 @@ def mc_report_dict(report: McReport, run_digest: str) -> dict:
     }
 
 
-def report_row(doc: dict) -> dict:
-    """The ``report`` merge's row for one mc_report.json document: the run,
-    then each aggregate with a spread as ``<name>_mean`` and ``<name>_sd``.
-    A missing key raises KeyError."""
-    agg, dgp, config = doc["aggregate"], doc["dgp"], doc["config"]
-    return {
-        "method": doc["method"], "learner": doc.get("learner", ""),
-        "dgp": dgp["kind"], "n": dgp["n"], "rho": dgp["rho"],
-        "alpha": config["alpha"], "gamma": config["gamma"],
-        **{f"{name}_{stat}": agg[f"{stat}_{name}"]
-           for name, _, spread in AGGREGATES if spread for stat in ("mean", "sd")},
-        "n_reps": agg["n_reps"], "n_failed": agg["n_failed"],
-        "run_digest": doc.get("run_digest", ""),
-    }
+def report_row(doc: dict, path) -> dict:
+    """The ``report`` merge's row for the mc_report.json document read from
+    ``path``: the run, then each aggregate with a spread as ``<name>_mean``
+    and ``<name>_sd``.  A missing key, or a key the merge sorts or groups by
+    that holds the wrong type, raises DataValidationError."""
+    try:
+        for key in ("aggregate", "dgp", "config"):
+            if not isinstance(doc[key], dict):
+                raise DataValidationError(f"{path}: report key {key!r} holds "
+                                          f"{type(doc[key]).__name__}, not an object")
+        agg, dgp, config = doc["aggregate"], doc["dgp"], doc["config"]
+        row = {
+            "method": doc["method"], "learner": doc.get("learner", ""),
+            "dgp": dgp["kind"], "n": dgp["n"], "rho": dgp["rho"],
+            "alpha": config["alpha"], "gamma": config["gamma"],
+            **{f"{name}_{stat}": agg[f"{stat}_{name}"]
+               for name, _, spread in AGGREGATES if spread for stat in ("mean", "sd")},
+            "n_reps": agg["n_reps"], "n_failed": agg["n_failed"],
+            "run_digest": doc.get("run_digest", ""),
+        }
+    except KeyError as exc:
+        raise DataValidationError(f"{path}: report is missing key {exc}") from None
+    # the values the merge sorts or groups by must compare with each other
+    for key, field, kinds in (("method", "method", str), ("dgp.kind", "dgp", str),
+                              ("dgp.n", "n", int), ("dgp.rho", "rho", (int, float)),
+                              ("config.alpha", "alpha", (int, float)),
+                              ("config.gamma", "gamma", (int, float)),
+                              ("run_digest", "run_digest", str)):
+        value = row[field]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            want = {str: "a string", int: "an integer"}.get(kinds, "a number")
+            raise DataValidationError(f"{path}: report key {key!r} holds "
+                                      f"{type(value).__name__}, not {want}")
+    return row
 
 
 # ate_summary.json's columns: the AteSummary estimate and standard-error fields
@@ -303,12 +324,10 @@ def ate_summary_dict(summary: AteSummary, ipw: AteEstimate, method: str, reps: i
 
 
 def write_mc_long_csv(report: McReport, path) -> None:
-    """Plot-ready long format: one row per (rep, metric)."""
-    metrics = ("coverage", "avg_length", "infinite_count", "ate_r1", "ate_attrition")
-    rows = []
-    for rec in report.reps:
-        for metric in metrics:
-            value = getattr(rec, metric)
-            rows.append([report.method, report.dgp.kind, report.dgp.n, report.dgp.rho, rec.rep,
-                         metric, None if value is None else float(value)])
+    """Plot-ready long format: one row per (rep, metric), the metrics being
+    the RepRecord fields other than the rep, its attrition count and error."""
+    metrics = [f.name for f in fields(RepRecord) if f.name not in ("rep", "n_attrition", "error")]
+    rows = ([report.method, report.dgp.kind, report.dgp.n, report.dgp.rho, rec.rep, metric,
+             None if (value := getattr(rec, metric)) is None else float(value)]
+            for rec in report.reps for metric in metrics)
     write_csv(path, ["method", "dgp", "n", "rho", "rep", "metric", "value"], rows)

@@ -205,9 +205,9 @@ class RepRecord:
     error: str | None = None
 
 
-# The Monte Carlo aggregates: (name, RepRecord field, whether it has a
-# spread).  McReport.aggregate holds mean_<name>, then sd_<name> for those
-# with a spread, in this order, over the replicates that did not fail.
+# The Monte Carlo aggregates: (name, RepRecord field, has a spread).  McReport.aggregate
+# holds mean_<name>, then sd_<name> where there is a spread, in this order, over the
+# successful replicates with a value (None when none has one).
 AGGREGATES = (("coverage", "coverage", True), ("length", "avg_length", True),
               ("ate_r1", "ate_r1", False), ("ate_attrition", "ate_attrition", False))
 
@@ -307,7 +307,8 @@ def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, reps: int,
     done = [r for r in records if r.error is None]
     aggregate = {}
     for name, attr, spread in AGGREGATES:
-        mean, sd = mean_and_spread([getattr(r, attr) for r in done])
+        values = [v for r in done if (v := getattr(r, attr)) is not None]
+        mean, sd = mean_and_spread(values) if values else (None, None)
         aggregate[f"mean_{name}"] = mean
         if spread:
             aggregate[f"sd_{name}"] = sd

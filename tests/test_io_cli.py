@@ -121,21 +121,27 @@ def test_csv_header_repeating_a_mapped_column_is_data_error(tmp_path, capsys):
 
 
 def test_cmd_simulate_writes_three_files(tmp_path):
-    out = tmp_path / "run"
-    rc = main(["simulate", "--dgp", "dgp1", "--n", "500", "--reps", "5",
-               "--method", "cise", "--learner", "glm", "--alpha", "0.025",
-               "--gamma", "0.025", "--rho", "0", "--seed", "7",
-               "--out", str(out)])
-    assert rc == 0
-    assert (out / "mc_report.json").exists()
-    assert (out / "mc_long.csv").exists()
-    assert (out / "manifest.json").exists()
-    report = json.loads((out / "mc_report.json").read_text())
-    assert len(report["reps"]) == 5
-    assert list(report["dgp"]) == ["kind", "n", "rho", "missingness", "seed", "k"]
-    assert list(report["aggregate"]) == ["mean_coverage", "sd_coverage", "mean_length",
-                                         "sd_length", "mean_ate_r1", "mean_ate_attrition",
-                                         "n_reps", "n_failed"]
+    # the second run's exact baseline has its unweighted quantile past the sample
+    # in every replicate, so no attrition interval is finite and the ATE mean is null
+    for method, n, seed, finite_attrition in (("cise", "500", "7", True),
+                                              ("wcqr_nested_exact", "150", "1", False)):
+        out = tmp_path / method
+        rc = main(["simulate", "--dgp", "dgp1", "--n", n, "--reps", "5",
+                   "--method", method, "--learner", "glm", "--alpha", "0.025",
+                   "--gamma", "0.025", "--rho", "0", "--seed", seed,
+                   "--out", str(out)])
+        assert rc == 0
+        assert (out / "mc_report.json").exists()
+        assert (out / "mc_long.csv").exists()
+        assert (out / "manifest.json").exists()
+        report = json.loads((out / "mc_report.json").read_text())
+        assert len(report["reps"]) == 5
+        assert list(report["dgp"]) == ["kind", "n", "rho", "missingness", "seed", "k"]
+        assert list(report["aggregate"]) == ["mean_coverage", "sd_coverage", "mean_length",
+                                             "sd_length", "mean_ate_r1", "mean_ate_attrition",
+                                             "n_reps", "n_failed"]
+        assert report["aggregate"]["n_failed"] == 0
+        assert (report["aggregate"]["mean_ate_attrition"] is not None) == finite_attrition
 
 
 def test_cmd_simulate_rerun_is_byte_identical(tmp_path):

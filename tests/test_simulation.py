@@ -216,6 +216,10 @@ def test_run_replicates_error_taxonomy(monkeypatch):
 
 
 def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
+    # rep 2 fails; rep 1 succeeds with every attrition interval unbounded, so
+    # it has no attrition ATE and the aggregate averages reps 0, 3 and 4
+    import dataclasses
+
     from attrition_conformal import simulation
 
     run_method = simulation.run_method
@@ -223,7 +227,11 @@ def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
     def fail_rep_two(ds, method, cfg):
         if cfg.seed == child_seed(9, 2):
             raise RuntimeError("singular system")
-        return run_method(ds, method, cfg)
+        result = run_method(ds, method, cfg)
+        if cfg.seed == child_seed(9, 1):
+            inf = np.full(result.che_lo.shape, np.inf)
+            result = dataclasses.replace(result, che_lo=-inf, che_hi=inf)
+        return result
 
     monkeypatch.setattr(simulation, "run_method", fail_rep_two)
     report = run_mc(DgpSpec(kind="dgp1", n=500, seed=9), "cise",
@@ -232,3 +240,6 @@ def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
     assert report.reps[2].error == "RuntimeError: singular system"
     assert report.reps[2].coverage is None
     assert all(r.error is None for i, r in enumerate(report.reps) if i != 2)
+    assert report.reps[1].ate_attrition is None
+    assert report.aggregate["mean_ate_attrition"] == pytest.approx(
+        np.mean([report.reps[i].ate_attrition for i in (0, 3, 4)]))
