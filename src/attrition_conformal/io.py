@@ -92,48 +92,95 @@ def _parse_number(token: str | None, row: int, col: str) -> float:
         raise DataValidationError(f"non-numeric value {token!r} in column {col!r} at data row {row}") from None
 
 
+def _data_rows(fh, mapping: ColumnMapping) -> csv.DictReader:
+    """A reader over ``fh`` whose header has passed the column checks; the
+    handle stands at the first data row."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None:
+        raise DataValidationError("empty file, header row required")
+    mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
+              *mapping.covariate_cols)
+    missing = [c for c in mapped if c not in reader.fieldnames]
+    if missing:
+        raise DataValidationError(f"missing columns {missing}")
+    repeated = [c for c in mapped if reader.fieldnames.count(c) > 1]
+    if repeated:
+        # csv.DictReader would silently keep the last of the repeated fields
+        raise DataValidationError(f"the header names column {repeated[0]!r} more than once")
+    return reader
+
+
+def _parse_arrays(fh, header: list, mapping: ColumnMapping) -> tuple | None:
+    """(x, d, r, y) from the data rows left in ``fh``, parsed as arrays.
+
+    None when a field does not parse as a float, a row's field count differs
+    from the header's, or there is no data row: the row loop then loads the
+    file or names the offending row and column.  Where this succeeds, every
+    token is one the row loop reads to the same bits.
+    """
+    import warnings
+
+    na_tokens = mapping.na_tokens
+    col = header.index
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file without data rows
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters={
+                col(mapping.outcome_col): lambda tok: math.nan if tok in na_tokens else float(tok)})
+    except ValueError:
+        return None
+    if arr.shape[0] == 0 or arr.shape[1] != len(header):
+        return None
+    # np.take copies the columns C-ordered (a fancy-indexed x is F-ordered, and
+    # the fits' last digits follow the layout) and holds no view of arr, which
+    # is freed on return
+    x = np.take(arr, [col(c) for c in mapping.covariate_cols], axis=1)
+    d, r, y = np.take(arr, [col(mapping.treatment_col), col(mapping.response_col),
+                            col(mapping.outcome_col)], axis=1).T
+    return x, d, r, y
+
+
+def _parse_rows(reader: csv.DictReader, mapping: ColumnMapping) -> tuple:
+    """(x, d, r, y) from the reader's rows, one row at a time; the first bad
+    row raises a DataValidationError naming the row and the column."""
+    xs, ds_, rs, ys = [], [], [], []
+    for i, rec in enumerate(reader):
+        if None in rec:  # csv.DictReader files a long row's extra fields under None
+            raise DataValidationError(f"data row {i} has {len(rec[None])} more "
+                                      "fields than the header")
+        rs.append(_parse_number(rec[mapping.response_col], i, mapping.response_col))
+        ds_.append(_parse_number(rec[mapping.treatment_col], i, mapping.treatment_col))
+        y_tok = rec[mapping.outcome_col]
+        ys.append(math.nan if y_tok in mapping.na_tokens
+                  else _parse_number(y_tok, i, mapping.outcome_col))
+        xs.append([_parse_number(rec[c], i, c) for c in mapping.covariate_cols])
+    if not xs:
+        raise DataValidationError("no data rows")
+    return np.asarray(xs), np.asarray(ds_), np.asarray(rs), np.asarray(ys)
+
+
 def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
     """Parse a header-bearing CSV into a dataset.
 
-    An outcome that is one of the mapping's NA tokens reads as NaN.  Every
-    error names the file: a missing or repeated mapped column, a row with
-    too few or too many fields and a non-numeric value also name the row or
-    column, and the dataset's own checks (binary indicators, an outcome
-    exactly on responding rows, finite values) name the rows.
+    An outcome that is one of the mapping's NA tokens reads as NaN.  The
+    data rows are parsed as arrays; a file that does not parse that way is
+    read again row by row, which loads what ``float`` reads or names the
+    first bad row.  Every error names the file: a missing or repeated mapped
+    column, a row with too few or too many fields and a non-numeric value
+    also name the row or column, and the dataset's own checks (binary
+    indicators, an outcome exactly on responding rows, finite values) name
+    the rows.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataValidationError(f"{path}: empty file, header row required")
-        mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
-                  *mapping.covariate_cols)
-        missing = [c for c in mapped if c not in reader.fieldnames]
-        if missing:
-            raise DataValidationError(f"{path}: missing columns {missing}")
-        repeated = [c for c in mapped if reader.fieldnames.count(c) > 1]
-        if repeated:
-            # csv.DictReader would silently keep the last of the repeated fields
-            raise DataValidationError(f"{path}: the header names column {repeated[0]!r} "
-                                      "more than once")
-        xs, ds_, rs, ys = [], [], [], []
-        try:
-            for i, rec in enumerate(reader):
-                if None in rec:  # csv.DictReader files a long row's extra fields under None
-                    raise DataValidationError(f"data row {i} has {len(rec[None])} more "
-                                              "fields than the header")
-                rs.append(_parse_number(rec[mapping.response_col], i, mapping.response_col))
-                ds_.append(_parse_number(rec[mapping.treatment_col], i, mapping.treatment_col))
-                y_tok = rec[mapping.outcome_col]
-                ys.append(math.nan if y_tok in mapping.na_tokens
-                          else _parse_number(y_tok, i, mapping.outcome_col))
-                xs.append([_parse_number(rec[c], i, c) for c in mapping.covariate_cols])
-            if not xs:
-                raise DataValidationError("no data rows")
-            return ExperimentDataset(x=np.asarray(xs), d=np.asarray(ds_), r=np.asarray(rs),
-                                     y=np.asarray(ys))
-        except DataValidationError as exc:
-            raise DataValidationError(f"{path}: {exc}") from None
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            arrays = _parse_arrays(fh, _data_rows(fh, mapping).fieldnames, mapping)
+        if arrays is None:
+            with path.open(newline="", encoding="utf-8") as fh:
+                arrays = _parse_rows(_data_rows(fh, mapping), mapping)
+        return ExperimentDataset(*arrays)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 def save_csv(ds: ExperimentDataset, path, mapping: ColumnMapping | None = None) -> ColumnMapping:
@@ -241,7 +288,12 @@ class RunManifest:
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of the file's bytes, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -407,12 +407,13 @@ def mean_and_spread(values: list) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1))
 
 
-def aggregate_ate(intervals: list, ds: ExperimentDataset, ate_r1: float,
+def aggregate_ate(intervals, ds: ExperimentDataset, ate_r1: float,
                   se_r1: float) -> AteSummary:
     """Combine the observed-group ATE with the attrition-group midpoint ATE.
 
-    ``intervals`` holds each replicate's attrition intervals ``(che_lo,
-    che_hi)`` for the rows ``att_idx``.  Only finite intervals count.  Every
+    ``intervals`` yields each replicate's attrition intervals ``(che_lo,
+    che_hi)`` for the rows ``att_idx``, folded in one at a time, so memory
+    does not grow with the replicates.  Only finite intervals count.  Every
     replicate with one gives a midpoint ATE (the mean midpoint) and a mean
     length; ATER0 and Length are their means across replicates, with the
     spread across replicates as SE (NaN for a single one).  SE(ATE over
@@ -424,17 +425,20 @@ def aggregate_ate(intervals: list, ds: ExperimentDataset, ate_r1: float,
     att_idx = np.flatnonzero(ds.r == 0)
     n_r1 = int((ds.r == 1).sum())
     n_r0 = int(att_idx.size)
-    lo = np.vstack([lo for lo, _ in intervals])
-    hi = np.vstack([hi for _, hi in intervals])
-    finite = np.isfinite(lo) & np.isfinite(hi)
+    # running sums from zero in replicate order: the bits of a sum over axis 0
+    sum_lo, sum_hi = np.zeros(n_r0), np.zeros(n_r0)
+    cnt = np.zeros(n_r0, dtype=np.int64)
     ates, lengths = [], []
-    for lo_k, hi_k, fin_k in zip(lo, hi, finite):
+    for lo_k, hi_k in intervals:
+        fin_k = np.isfinite(lo_k) & np.isfinite(hi_k)
         if fin_k.any():
             ates.append(float((0.5 * (lo_k[fin_k] + hi_k[fin_k])).mean()))
             lengths.append(float((hi_k - lo_k)[fin_k].mean()))
-    cnt = finite.sum(axis=0)
-    mean_lo = np.where(cnt > 0, np.where(finite, lo, 0.0).sum(axis=0) / np.maximum(cnt, 1), math.nan)
-    mean_hi = np.where(cnt > 0, np.where(finite, hi, 0.0).sum(axis=0) / np.maximum(cnt, 1), math.nan)
+        sum_lo += np.where(fin_k, lo_k, 0.0)
+        sum_hi += np.where(fin_k, hi_k, 0.0)
+        cnt += fin_k
+    mean_lo = np.where(cnt > 0, sum_lo / np.maximum(cnt, 1), math.nan)
+    mean_hi = np.where(cnt > 0, sum_hi / np.maximum(cnt, 1), math.nan)
     rows = dict(att_idx=att_idx, mean_lo=mean_lo, mean_hi=mean_hi, finite_reps=cnt)
     if n_r0 == 0 or not ates:
         return AteSummary(ate_r1=ate_r1, se_r1=se_r1, ate_r0=None, se_r0=None,

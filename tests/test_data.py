@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from attrition_conformal import io
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, InsufficientDataError,
                                       make_splits)
@@ -150,6 +153,106 @@ def test_dataset_accepts_exactly_the_data_model(tmp_path_factory, rows):
     for name in ("x", "d", "r", "y"):
         a, b = getattr(ds, name), getattr(back, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_CSV2_MAPPING = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
+                              covariate_cols=("x1", "x2"))
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str),
+                    st.sampled_from(["+1.", ".5", "1e5", "-0.0", "1_0", "0.1000000000000000055511"]))
+_ODD_TOKEN = st.sampled_from(["inf", "-inf", "nan", "Infinity", "NA", " NA", "NA ", "", "  ",
+                              " 1.5 ", '"1.5"', '"NA"', '"a,b"', "0x10", "abc", "0.5", "2",
+                              "١", "1 ", "-nan"])
+
+
+@st.composite
+def _csv_text(draw):
+    """A CSV text near the data model: mostly well-formed rows, with odd
+    tokens, NA tokens with spaces, short and long rows (some files all of
+    one shape), blank and whitespace-only lines, CRLF and an optional
+    unmapped string column."""
+    unmapped = draw(st.booleans())
+    every_row = draw(st.sampled_from([None] * 4 + ["short", "long", "trailing comma"]))
+    lines = ["x1,x2,d,r,y" + (",s" if unmapped else "")]
+    for _ in range(draw(st.integers(0, 5))):
+        r = draw(st.sampled_from(["0", "1"]))
+        fields = [draw(_NUMBER), draw(_NUMBER), draw(st.sampled_from(["0", "1"])), r,
+                  draw(_NUMBER) if r == "1"
+                  else draw(st.sampled_from(["NA", "", "nan", " NA", "NA ", " ", "na"]))]
+        if unmapped:
+            fields.append(draw(st.sampled_from(["id7", "", "3"])))
+        if draw(st.integers(0, 4)) == 0:
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_ODD_TOKEN)
+        shape = every_row or draw(st.sampled_from(
+            ["row"] * 10 + ["short", "long", "trailing comma", "blank line", "whitespace line"]))
+        if shape == "short":
+            fields.pop()
+        elif shape == "long":
+            fields.append(draw(_NUMBER))
+        elif shape == "trailing comma":
+            fields.append("")
+        elif shape in ("blank line", "whitespace line"):
+            lines.append("" if shape == "blank line" else " \t")
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _loaded(path):
+    """The dataset's arrays as (dtype, shape, bytes), or the error message."""
+    try:
+        ds = load_csv(path, _CSV2_MAPPING)
+    except DataValidationError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (ds.x, ds.d, ds.r, ds.y)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_csv_text())
+def test_array_parse_matches_row_loop(tmp_path_factory, text):
+    # where the file parses as arrays, the row loop reads the same bits;
+    # where it does not, the row loop's message is the one raised
+    path = tmp_path_factory.mktemp("parse") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _loaded(path)
+    with mock.patch.object(io, "_parse_arrays", return_value=None):
+        assert _loaded(path) == fast
+
+
+def test_clean_csv_is_parsed_as_arrays(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,d,r,y\n0.5,1.0,1,1,2.5\n-0.3,0.2,0,1,1.1\n0.0,0.0,0,0,NA\n")
+    with mock.patch.object(io, "_parse_rows", side_effect=AssertionError("row loop ran")):
+        ds = load_csv(path, _CSV2_MAPPING)
+    # a fancy-indexed column selection would be F-ordered
+    assert ds.x.flags.c_contiguous
+    assert ds.x.tolist() == [[0.5, 1.0], [-0.3, 0.2], [0.0, 0.0]]
+
+
+def test_token_only_float_reads_loads_through_the_row_loop(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x1,d,r,y\n1_0,1,1,2.0\n0.5,0,1,1_5\n")
+    ds = load_csv(path, CSV_MAPPING)
+    assert ds.x[:, 0].tolist() == [10.0, 0.5] and ds.y.tolist() == [2.0, 15.0]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0.5,1,1,1.0,7\n0.1,0,1,2.0,8\n", "data row 0 has 1 more fields than the header"),
+    ("0.5,1,1\n0.1,0,1\n", r"no value in column 'y' at data row 0 \(too few fields\)")])
+def test_every_row_the_wrong_width_is_data_error(tmp_path, rows, message):
+    # rows of one width parse as an array, so the width is checked against the header
+    path = tmp_path / "data.csv"
+    path.write_text("x1,d,r,y\n" + rows)
+    with pytest.raises(DataValidationError, match=rf"data\.csv: {message}"):
+        load_csv(path, CSV_MAPPING)
+
+
+@pytest.mark.parametrize("text", ["x1,d,r,y\n", "x1,d,r,y\r\n\r\n", "x1,d,r,y"])
+def test_header_only_csv_has_no_data_rows(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataValidationError, match=r"data\.csv: no data rows"):
+        load_csv(path, CSV_MAPPING)
 
 
 def test_dataset_arrays_are_frozen():

@@ -332,6 +332,35 @@ def test_aggregate_ate_skips_replicates_without_finite_intervals():
     assert (none.finite_reps == 0).all() and np.isnan(none.mean_lo).all()
 
 
+def test_aggregate_ate_fold_matches_stacked_sums():
+    # the running per-row sums equal a sum over the stacked replicates, bit
+    # for bit, with infinite, NaN and -0.0 ends among the intervals
+    ds, _ = _linear_draw(seed=47)
+    n_r0 = int((ds.r == 0).sum())
+    rng = make_rng(71)
+    intervals = []
+    for _ in range(7):
+        lo = rng.standard_normal(n_r0) * 10.0 ** rng.integers(-6, 6, n_r0)
+        hi = lo + rng.exponential(size=n_r0)
+        for ends, odd in ((lo, -math.inf), (hi, math.inf), (lo, math.nan), (hi, math.nan)):
+            ends[rng.random(n_r0) < 0.1] = odd
+        lo[:3], hi[:3] = -0.0, -0.0  # an all -0.0 row sums to +0.0 either way
+        intervals.append((lo, hi))
+    summary = aggregate_ate(iter(intervals), ds, ate_r1=1.0, se_r1=0.1)
+    lo = np.vstack([lo for lo, _ in intervals])
+    hi = np.vstack([hi for _, hi in intervals])
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    cnt = finite.sum(axis=0)
+    for got, ends in ((summary.mean_lo, lo), (summary.mean_hi, hi)):
+        want = np.where(cnt > 0, np.where(finite, ends, 0.0).sum(axis=0) / np.maximum(cnt, 1),
+                        math.nan)
+        assert got.tobytes() == want.tobytes()
+    assert summary.finite_reps.tobytes() == cnt.tobytes()
+    assert math.copysign(1.0, summary.mean_lo[0]) == 1.0
+    mids = [float((0.5 * (lo_k[f] + hi_k[f])).mean()) for lo_k, hi_k, f in zip(lo, hi, finite)]
+    assert summary.ate_r0 == float(np.mean(mids))
+
+
 def test_aggregate_ate_no_attrition_passthrough():
     ds, _ = _linear_draw(attrition=False, seed=59)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=61)
