@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import child_seed, make_rng
+from .rng import make_rng, stream_seed
 
 
 class DataValidationError(ValueError):
@@ -146,7 +146,7 @@ def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> Split
     if r_flags.shape != (n_rows,):
         raise ValueError("r_flags must have length n_rows")
 
-    rng = make_rng(child_seed(cfg.seed, 0))
+    rng = make_rng(stream_seed(cfg.seed, "folds"))
     order = rng.permutation(n_rows)
 
     n_pr = int(round(PRETRAIN_FRAC * n_rows))
@@ -163,7 +163,7 @@ def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> Split
             raise InsufficientDataError(f"insufficient data for split plan (empty {name} fold)")
 
     cal_obs = calibration[r_flags[calibration] == 1]
-    rng2 = make_rng(child_seed(cfg.seed, 1))
+    rng2 = make_rng(stream_seed(cfg.seed, "step2_folds"))
     cal_obs = cal_obs[rng2.permutation(cal_obs.size)]
     n_s2tr = int(round(STEP2_TRAIN_FRAC * cal_obs.size))
     step2_train = cal_obs[:n_s2tr]

@@ -15,15 +15,11 @@ from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
 from .eif import counterfactual_terms, extrapolation_terms, initial_eta, solve_smallest_eta
 from .learners import (MeanModel, fit_conditional_cdf, fit_mean,
                        fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
-from .rng import child_seed, make_rng
+from .rng import make_rng, stream_seed
 
 
 def _with_treatment(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.column_stack([x, d.astype(np.float64)])
-
-
-def _role_seed(cfg_seed: int, role: int) -> int:
-    return child_seed(cfg_seed, 1000 + role)
 
 
 def _require_both_arms(ds: ExperimentDataset) -> None:
@@ -34,13 +30,12 @@ def _require_both_arms(ds: ExperimentDataset) -> None:
                                       "both arms need rows with r = 1")
 
 
-def _ite_interval(arm: int, y: np.ndarray, cf_lo: np.ndarray,
+def _ite_interval(d: np.ndarray, y: np.ndarray, cf_lo: np.ndarray,
                   cf_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ITE interval of rows observed in ``arm`` with outcome ``y``, given
+    """ITE interval of rows observed in arm ``d`` with outcome ``y``, given
     their counterfactual-arm interval [cf_lo, cf_hi]."""
-    if arm == 1:
-        return y - cf_hi, y - cf_lo
-    return cf_lo - y, cf_hi - y
+    treated = d == 1
+    return np.where(treated, y - cf_hi, cf_lo - y), np.where(treated, y - cf_lo, cf_hi - y)
 
 
 @dataclass
@@ -100,12 +95,13 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         rows = _arm_rows(ds, plan.pretrain, arm)
         q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows], cfg.alpha / 2.0,
                                           1.0 - cfg.alpha / 2.0, cfg.learner,
-                                          _role_seed(cfg.seed, arm))
+                                          stream_seed(cfg.seed, f"quantile_pair_{arm}"))
 
     e_d_model = fit_propensity(ds.x[plan.pretrain], ds.d[plan.pretrain], cfg.learner,
-                               _role_seed(cfg.seed, 2))
+                               stream_seed(cfg.seed, "treatment_propensity"))
     e_r_model = fit_propensity(_with_treatment(ds.x[plan.pretrain], ds.d[plan.pretrain]),
-                               ds.r[plan.pretrain], cfg.learner, _role_seed(cfg.seed, 3))
+                               ds.r[plan.pretrain], cfg.learner,
+                               stream_seed(cfg.seed, "response_propensity"))
 
     def own_arm_scores(rows: np.ndarray) -> np.ndarray:
         v = np.full(rows.size, np.nan)
@@ -122,7 +118,7 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
                                1.0 - cfg.alpha)
         tr2 = _arm_rows(ds, plan.train2, arm)
         m_models[arm] = fit_conditional_cdf(ds.x[tr2], own_arm_scores(tr2), eta_init,
-                                            cfg.learner, _role_seed(cfg.seed, 4 + arm))
+                                            cfg.learner, stream_seed(cfg.seed, f"cdf_{arm}"))
 
     cal = plan.calibration
     v_cal = own_arm_scores(cal)
@@ -147,20 +143,13 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         eta_solutions[arm] = sol
 
     obs = cal[ds.r[cal] == 1]
-    c_cf_lo = np.empty(obs.size)
-    c_cf_hi = np.empty(obs.size)
-    c_ite_lo = np.empty(obs.size)
-    c_ite_hi = np.empty(obs.size)
-    for arm in (0, 1):
-        # rows observed in arm `arm` get the counterfactual interval of 1 - arm
-        sel = ds.d[obs] == arm
-        if not sel.any():
-            continue
-        cf = 1 - arm
-        cf_lo, cf_hi = expand_interval(*q_models[cf].predict(ds.x[obs[sel]]),
-                                       eta_solutions[cf].eta)
-        c_cf_lo[sel], c_cf_hi[sel] = cf_lo, cf_hi
-        c_ite_lo[sel], c_ite_hi[sel] = _ite_interval(arm, ds.y[obs[sel]], cf_lo, cf_hi)
+    c_cf_lo, c_cf_hi = np.empty(obs.size), np.empty(obs.size)
+    for cf in (0, 1):
+        # rows observed in arm 1 - cf get the counterfactual interval of cf
+        sel = ds.d[obs] != cf
+        c_cf_lo[sel], c_cf_hi[sel] = expand_interval(*q_models[cf].predict(ds.x[obs[sel]]),
+                                                     eta_solutions[cf].eta)
+    c_ite_lo, c_ite_hi = _ite_interval(ds.d[obs], ds.y[obs], c_cf_lo, c_cf_hi)
 
     return CiseResult(cal_obs_idx=obs, c_cf_lo=c_cf_lo, c_cf_hi=c_cf_hi,
                       c_ite_lo=c_ite_lo, c_ite_hi=c_ite_hi, q_models=q_models,
@@ -183,22 +172,23 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
         flags.append("no attrition rows; extrapolation skipped")
         return replace(state, att_idx=att, flags=flags)
 
-    pos_of = {int(row): i for i, row in enumerate(state.cal_obs_idx)}
-    obstr = plan.step2_train
-    obsca = plan.step2_cal
+    obstr, obsca = plan.step2_train, plan.step2_cal
     if obstr.size == 0 or obsca.size == 0:
         raise InsufficientDataError("empty step-2 fold")
-    tr_pos = np.array([pos_of[int(r)] for r in obstr], dtype=np.int64)
-    ca_pos = np.array([pos_of[int(r)] for r in obsca], dtype=np.int64)
+    pos_of = np.full(ds.n, -1, dtype=np.int64)  # row -> position in cal_obs_idx
+    pos_of[state.cal_obs_idx] = np.arange(state.cal_obs_idx.size)
+    tr_pos, ca_pos = pos_of[obstr], pos_of[obsca]
+    if (tr_pos < 0).any() or (ca_pos < 0).any():
+        raise KeyError("step-2 rows must be step-1 calibration rows with r = 1")
 
     # Endpoint models can only learn from finite surrogate intervals; rows
     # with an unbounded step-1 interval keep a +inf score and stay in the
     # moment, where they honestly count as never covered.
-    def fit_endpoints(pos: np.ndarray, lo_role: int, hi_role: int) -> tuple:
+    def fit_endpoints(pos: np.ndarray, lo_stream: str, hi_stream: str) -> tuple:
         pos = pos[finite[pos]]
         x = ds.x[state.cal_obs_idx[pos]]
-        return (fit_mean(x, lo[pos], cfg.learner, _role_seed(cfg.seed, lo_role)),
-                fit_mean(x, hi[pos], cfg.learner, _role_seed(cfg.seed, hi_role)))
+        return (fit_mean(x, lo[pos], cfg.learner, stream_seed(cfg.seed, lo_stream)),
+                fit_mean(x, hi[pos], cfg.learner, stream_seed(cfg.seed, hi_stream)))
 
     def scores(endpoints: tuple, pos: np.ndarray) -> np.ndarray:
         x = ds.x[state.cal_obs_idx[pos]]
@@ -208,7 +198,7 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     n_unbounded = int(obstr.size - finite[tr_pos].sum())
     if n_unbounded:
         flags.append(f"{n_unbounded} unbounded surrogates excluded from endpoint fits")
-    h_lo, h_hi = fit_endpoints(tr_pos, 6, 7)
+    h_lo, h_hi = fit_endpoints(tr_pos, "endpoint_lo", "endpoint_hi")
 
     # P(R | X, D) needs both classes; the step-2 training fold has none with
     # r = 0, so the attrition rows join the fit.  Its odds carry this frame's
@@ -217,22 +207,23 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     # at most one row, as STEP2_TRAIN_FRAC = 0.5 makes them.
     pi_rows = np.concatenate([obstr, att])
     pi_model = fit_propensity(_with_treatment(ds.x[pi_rows], ds.d[pi_rows]),
-                              ds.r[pi_rows], cfg.learner, _role_seed(cfg.seed, 8))
+                              ds.r[pi_rows], cfg.learner,
+                              stream_seed(cfg.seed, "step2_response_propensity"))
 
     # The localized CDF needs out-of-sample scores: endpoint models evaluated
     # on their own fitting rows understate the nonconformity, which drags the
     # initial threshold (and with it the whole moment) below its target.
     # Cross-fit the endpoint models across two halves of the training fold.
     v_tr = np.full(obstr.size, np.nan)
-    perm = make_rng(child_seed(cfg.seed, 11)).permutation(obstr.size)
+    perm = make_rng(stream_seed(cfg.seed, "crossfit_halves")).permutation(obstr.size)
     halves = (perm[:obstr.size // 2], perm[obstr.size // 2:])
     for a, b in ((0, 1), (1, 0)):
-        v_tr[halves[b]] = scores(fit_endpoints(tr_pos[halves[a]], 12 + a, 14 + a),
-                                 tr_pos[halves[b]])
+        v_tr[halves[b]] = scores(fit_endpoints(tr_pos[halves[a]], f"crossfit_lo_{a}",
+                                               f"crossfit_hi_{a}"), tr_pos[halves[b]])
     eta_init_c = initial_eta(v_tr[np.isfinite(v_tr)], 1.0 - cfg.gamma)
 
     m_c = fit_conditional_cdf(_with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, eta_init_c,
-                              cfg.learner, _role_seed(cfg.seed, 9))
+                              cfg.learner, stream_seed(cfg.seed, "step2_cdf"))
 
     solve_rows = np.concatenate([obsca, att])
     v_solve = np.full(solve_rows.size, np.nan)
@@ -271,46 +262,42 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
     obs = np.flatnonzero(ds.r == 1)
     att = np.flatnonzero(ds.r == 0)
 
-    rng = make_rng(child_seed(cfg.seed, 2))
-    order = obs[rng.permutation(obs.size)]
+    order = obs[make_rng(stream_seed(cfg.seed, "baseline_halves")).permutation(obs.size)]
     half = order.size // 2
     z1, z2 = order[:half], order[half:]
     for arm in (0, 1):
         if (ds.d[z1] == arm).sum() < 4 or (ds.d[z2] == arm).sum() < 1:
             raise InsufficientDataError(f"too few arm-{arm} rows in the baseline folds")
 
-    e_d_model = fit_propensity(ds.x[z1], ds.d[z1], cfg.learner, _role_seed(cfg.seed, 20))
+    e_d_model = fit_propensity(ds.x[z1], ds.d[z1], cfg.learner,
+                               stream_seed(cfg.seed, "baseline_propensity"))
 
-    c_ite_lo = np.empty(z2.size)
-    c_ite_hi = np.empty(z2.size)
+    c_cf_lo, c_cf_hi = np.empty(z2.size), np.empty(z2.size)
     for arm in (0, 1):
         # counterfactual arm cf = 1 - arm, fitted on z1 rows observed in cf
         cf = 1 - arm
         src = z1[ds.d[z1] == cf]
-        rng_arm = make_rng(child_seed(cfg.seed, 3 + arm))
+        rng_arm = make_rng(stream_seed(cfg.seed, f"baseline_cqr_split_{arm}"))
         perm = src[rng_arm.permutation(src.size)]
-        n_tr = perm.size // 2
-        tr, ca = perm[:n_tr], perm[n_tr:]
-        if tr.size == 0 or ca.size == 0:
-            raise InsufficientDataError(f"too few arm-{cf} rows for weighted CQR")
+        tr, ca = perm[:perm.size // 2], perm[perm.size // 2:]
 
         def weight_fn(x):  # covariate shift from arm cf to arm: P(D = arm | x) / P(D = cf | x)
             p = e_d_model.predict_proba(x)
             return p / (1.0 - p) if cf == 0 else (1.0 - p) / p
 
         sel = ds.d[z2] == arm
-        test = z2[sel]
         # unreachable weighted quantiles fall back to the largest score so
         # the baseline keeps producing (very wide) finite intervals
         band = weighted_split_cqr_batch(ds.x[tr], ds.y[tr], ds.x[ca], ds.y[ca],
-                                        ds.x[test], cfg.alpha, weight_fn, cfg.learner,
-                                        _role_seed(cfg.seed, 22 + arm), cap_at_max=True)
+                                        ds.x[z2[sel]], cfg.alpha, weight_fn, cfg.learner,
+                                        stream_seed(cfg.seed, f"baseline_cqr_{arm}"),
+                                        cap_at_max=True)
         if band.uninformative.any():
             flags.append(f"{int(band.uninformative.sum())} capped counterfactual intervals (arm {cf})")
-        c_ite_lo[sel], c_ite_hi[sel] = _ite_interval(arm, ds.y[test], band.lo, band.hi)
+        c_cf_lo[sel], c_cf_hi[sel] = band.lo, band.hi
+    c_ite_lo, c_ite_hi = _ite_interval(ds.d[z2], ds.y[z2], c_cf_lo, c_cf_hi)
 
-    result = CiseResult(cal_obs_idx=z2, c_cf_lo=np.full(z2.size, np.nan),
-                        c_cf_hi=np.full(z2.size, np.nan), c_ite_lo=c_ite_lo,
+    result = CiseResult(cal_obs_idx=z2, c_cf_lo=c_cf_lo, c_cf_hi=c_cf_hi, c_ite_lo=c_ite_lo,
                         c_ite_hi=c_ite_hi, att_idx=att, flags=flags)
     if att.size == 0:
         result.flags.append("no attrition rows; extrapolation skipped")
@@ -318,19 +305,19 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
     finite = np.isfinite(c_ite_lo) & np.isfinite(c_ite_hi)
     if finite.sum() < 4:
         raise InsufficientDataError("too few finite baseline ITE intervals")
-    fz = z2[finite]
-    flo = c_ite_lo[finite]
-    fhi = c_ite_hi[finite]
+    fz, flo, fhi = z2[finite], c_ite_lo[finite], c_ite_hi[finite]
     if exact:
         band = unweighted_interval_conformal_batch(
             ds.x[fz], flo, fhi, ds.x[att], cfg.gamma, cfg.learner,
-            _role_seed(cfg.seed, 24), _role_seed(cfg.seed, 25), child_seed(cfg.seed, 5))
+            stream_seed(cfg.seed, "exact_endpoint_lo"), stream_seed(cfg.seed, "exact_endpoint_hi"),
+            stream_seed(cfg.seed, "exact_endpoint_split"))
         if band.uninformative.any():
             result.flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
         return replace(result, che_lo=band.lo, che_hi=band.hi, eta_gamma=float(band.eta[0]))
-    q_lo = fit_quantile(ds.x[fz], flo, cfg.gamma / 2.0, cfg.learner, _role_seed(cfg.seed, 26))
+    q_lo = fit_quantile(ds.x[fz], flo, cfg.gamma / 2.0, cfg.learner,
+                        stream_seed(cfg.seed, "inexact_endpoint_lo"))
     q_hi = fit_quantile(ds.x[fz], fhi, 1.0 - cfg.gamma / 2.0, cfg.learner,
-                        _role_seed(cfg.seed, 27))
+                        stream_seed(cfg.seed, "inexact_endpoint_hi"))
     che_lo, che_hi = repair_crossing(q_lo.predict(ds.x[att]), q_hi.predict(ds.x[att]))
     return replace(result, che_lo=che_lo, che_hi=che_hi, eta_gamma=0.0)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +28,17 @@ def _linear_draw(n=600, attrition=True, noise=1.0, seed=0):
     return ds, y1 - y0
 
 
-def test_eq5_arithmetic_on_output():
+@pytest.mark.parametrize("pipeline", [
+    lambda ds, cfg: cise_step1(ds, make_splits(ds.n, ds.r, cfg), cfg),
+    lambda ds, cfg: wcqr_nested_baseline(ds, cfg, exact=True),
+    lambda ds, cfg: wcqr_nested_baseline(ds, cfg, exact=False),
+], ids=["cise_step1", "wcqr_nested_exact", "wcqr_nested_inexact"])
+def test_eq5_arithmetic_on_output(pipeline):
     ds, _ = _linear_draw()
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=2)
-    plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg)
+    state = pipeline(ds, cfg)
+    # every method keeps the counterfactual intervals its ITE intervals come from
+    assert np.isfinite(state.c_cf_lo).all() and np.isfinite(state.c_cf_hi).all()
     # treated rows: C_ITE = [y - cf_hi, y - cf_lo]; controls mirrored
     y = ds.y[state.cal_obs_idx]
     d = ds.d[state.cal_obs_idx]
@@ -94,6 +101,18 @@ def test_cise_step2_zero_attrition():
     assert any("no attrition rows" in f for f in res.flags)
     # step-1 results intact
     assert res.c_ite_lo.size > 0
+
+
+def test_cise_step2_rejects_rows_outside_step1():
+    # a plan whose step-2 rows are not step 1's observed calibration rows is
+    # a programming error, not a failed replicate
+    ds, _ = _linear_draw()
+    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=2)
+    plan = make_splits(ds.n, ds.r, cfg)
+    state = cise_step1(ds, plan, cfg)
+    foreign = replace(plan, step2_cal=np.concatenate([plan.step2_cal, plan.pretrain[:1]]))
+    with pytest.raises(KeyError, match="step-2 rows"):
+        cise_step2(state, ds, foreign, cfg)
 
 
 def test_run_cise_keeps_the_step1_part_bitwise():

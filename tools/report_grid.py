@@ -3,7 +3,7 @@
     PYTHONPATH=<checkout>/src python tools/report_grid.py OUT
 
 runs the package CLI (whichever ``attrition_conformal`` is on the path)
-over a fixed set of 21 commands and writes 44 files under OUT besides the run
+over a fixed set of 22 commands and writes 46 files under OUT besides the run
 manifests:
 
 - ``simulate`` on dgp1, dgp2 and appendixE with each method, glm, n=400,
@@ -13,9 +13,8 @@ manifests:
 - cise with glm, n=400, 3 reps, on dgp2 with ``--rho 0.5`` and on appendixE
   with ``--missingness MCAR``, so that correlated and MCAR draws are covered;
 - each method with random_forest on dgp1, n=300, 1 rep;
-- ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps), and
-  with cise and wcqr_nested_inexact using random_forest (2 reps), plus the
-  CSV and its mapping file;
+- ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps) and
+  using random_forest (2 reps), plus the CSV and its mapping file;
 - ``report`` over the nine one-worker glm ``simulate`` cells of the first item.
 
 Run it against two checkouts and compare with ``diff -r -x manifest.json``;
@@ -80,8 +79,7 @@ def build_grid(out: Path) -> None:
                                     "response": mapping.response_col,
                                     "covariates": list(mapping.covariate_cols)}),
                         encoding="utf-8")
-    analyses = [(m, "glm", 3) for m in METHODS]
-    analyses += [("cise", "random_forest", 2), ("wcqr_nested_inexact", "random_forest", 2)]
+    analyses = [(m, "glm", 3) for m in METHODS] + [(m, "random_forest", 2) for m in METHODS]
     for method, learner, reps in analyses:
         _run(["analyze", "--data", str(data), "--map", str(map_path), "--method", method,
               "--learner", learner, "--reps", str(reps), "--seed", str(SEED), *LEVELS,
