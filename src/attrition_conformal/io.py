@@ -110,23 +110,34 @@ def _data_rows(fh, mapping: ColumnMapping) -> csv.DictReader:
     return reader
 
 
+def _unmapped_field(token: str) -> float:
+    if '"' in token:  # csv reads a quoted field, which may hold the delimiter, as one
+        raise ValueError(f"quoted field {token!r}")
+    return 0.0
+
+
 def _parse_arrays(fh, header: list, mapping: ColumnMapping) -> tuple | None:
     """(x, d, r, y) from the data rows left in ``fh``, parsed as arrays.
 
-    None when a field does not parse as a float, a row's field count differs
-    from the header's, or there is no data row: the row loop then loads the
-    file or names the offending row and column.  Where this succeeds, every
-    token is one the row loop reads to the same bits.
+    None when a mapped field does not parse as a float, an unmapped one holds
+    a quote, a row's field count differs from the header's, or there is no
+    data row: the row loop then loads the file or names the offending row
+    and column.  Where this succeeds, every mapped token is one the row loop
+    reads to the same bits; unmapped columns, which neither path reads, parse
+    as 0.
     """
     import warnings
 
     na_tokens = mapping.na_tokens
     col = header.index
+    mapped = (mapping.treatment_col, mapping.response_col, *mapping.covariate_cols)
+    # keyed by position, so that unmapped columns sharing a name are covered
+    converters = {j: _unmapped_field for j, name in enumerate(header) if name not in mapped}
+    converters[col(mapping.outcome_col)] = lambda tok: math.nan if tok in na_tokens else float(tok)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without data rows
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters={
-                col(mapping.outcome_col): lambda tok: math.nan if tok in na_tokens else float(tok)})
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters=converters)
     except ValueError:
         return None
     if arr.shape[0] == 0 or arr.shape[1] != len(header):

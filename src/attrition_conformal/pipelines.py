@@ -15,7 +15,7 @@ from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
 from .eif import counterfactual_terms, extrapolation_terms, initial_eta, solve_smallest_eta
 from .learners import (MeanModel, fit_conditional_cdf, fit_mean,
                        fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
-from .rng import make_rng, stream_seed
+from .rng import make_rng, run_stream_seed, stream_seed
 
 
 def _with_treatment(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -90,65 +90,45 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
             if _arm_rows(ds, fold, arm).size == 0:
                 raise InsufficientDataError(f"empty arm {arm} in {name} fold")
 
-    q_models = {}
-    for arm in (0, 1):
-        rows = _arm_rows(ds, plan.pretrain, arm)
-        q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows], cfg.alpha / 2.0,
-                                          1.0 - cfg.alpha / 2.0, cfg.learner,
-                                          stream_seed(cfg.seed, f"quantile_pair_{arm}"))
-
     e_d_model = fit_propensity(ds.x[plan.pretrain], ds.d[plan.pretrain], cfg.learner,
                                stream_seed(cfg.seed, "treatment_propensity"))
     e_r_model = fit_propensity(_with_treatment(ds.x[plan.pretrain], ds.d[plan.pretrain]),
                                ds.r[plan.pretrain], cfg.learner,
                                stream_seed(cfg.seed, "response_propensity"))
-
-    def own_arm_scores(rows: np.ndarray) -> np.ndarray:
-        v = np.full(rows.size, np.nan)
-        for arm in (0, 1):
-            sel = (ds.r[rows] == 1) & (ds.d[rows] == arm)
-            if sel.any():
-                lo, hi = q_models[arm].predict(ds.x[rows[sel]])
-                v[sel] = cqr_score(ds.y[rows[sel]], lo, hi)
-        return v
-
-    m_models = {}
-    for arm in (0, 1):
-        eta_init = initial_eta(own_arm_scores(_arm_rows(ds, plan.train1, arm)),
-                               1.0 - cfg.alpha)
-        tr2 = _arm_rows(ds, plan.train2, arm)
-        m_models[arm] = fit_conditional_cdf(ds.x[tr2], own_arm_scores(tr2), eta_init,
-                                            cfg.learner, stream_seed(cfg.seed, f"cdf_{arm}"))
-
     cal = plan.calibration
-    v_cal = own_arm_scores(cal)
     e_d = e_d_model.predict_proba(ds.x[cal])
     pi_d = e_d / (1.0 - e_d)
     e_r1 = e_r_model.predict_proba(_with_treatment(ds.x[cal], np.ones(cal.size)))
     e_r0 = e_r_model.predict_proba(_with_treatment(ds.x[cal], np.zeros(cal.size)))
+    obs = cal[ds.r[cal] == 1]
+    c_cf_lo, c_cf_hi = np.empty(obs.size), np.empty(obs.size)
 
-    eta_solutions = {}
+    q_models, eta_solutions = {}, {}
     for arm in (1, 0):
-        v_arm = np.where((ds.r[cal] == 1) & (ds.d[cal] == arm), v_cal, np.nan)
+        rows = _arm_rows(ds, plan.pretrain, arm)
+        q = q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows], cfg.alpha / 2.0,
+                                              1.0 - cfg.alpha / 2.0, cfg.learner,
+                                              stream_seed(cfg.seed, f"quantile_pair_{arm}"))
+        tr1, tr2 = _arm_rows(ds, plan.train1, arm), _arm_rows(ds, plan.train2, arm)
+        own = (ds.r[cal] == 1) & (ds.d[cal] == arm)
+        v_cal = np.full(cal.size, np.nan)  # NaN off the arm's observed rows
+        v_tr1, v_tr2, v_cal[own] = (cqr_score(ds.y[i], *q.predict(ds.x[i]))
+                                    for i in (tr1, tr2, cal[own]))
+        m_model = fit_conditional_cdf(ds.x[tr2], v_tr2, initial_eta(v_tr1, 1.0 - cfg.alpha),
+                                      cfg.learner, stream_seed(cfg.seed, f"cdf_{arm}"))
         # The frozen CDF surrogate sits at its target level by construction,
         # so its sampling noise alone can push the moment's ceiling below
         # zero and degenerate the root to +inf; flooring at the target level
         # (the constant of the double-robustness route) removes that failure
         # mode without moving the root's first-order location.
-        m_hat = np.maximum(m_models[arm].predict_proba(ds.x[cal]), 1.0 - cfg.alpha)
-        sol = solve_smallest_eta(counterfactual_terms(arm, ds.d[cal], ds.r[cal], v_arm, m_hat,
-                                                      e_r1, e_r0, pi_d, cfg.alpha))
+        m_hat = np.maximum(m_model.predict_proba(ds.x[cal]), 1.0 - cfg.alpha)
+        sol = eta_solutions[arm] = solve_smallest_eta(counterfactual_terms(
+            arm, ds.d[cal], ds.r[cal], v_cal, m_hat, e_r1, e_r0, pi_d, cfg.alpha))
         if sol.degenerate:
             flags.append(f"eta_alpha_{arm} is infinite; counterfactual intervals unbounded")
-        eta_solutions[arm] = sol
-
-    obs = cal[ds.r[cal] == 1]
-    c_cf_lo, c_cf_hi = np.empty(obs.size), np.empty(obs.size)
-    for cf in (0, 1):
-        # rows observed in arm 1 - cf get the counterfactual interval of cf
-        sel = ds.d[obs] != cf
-        c_cf_lo[sel], c_cf_hi[sel] = expand_interval(*q_models[cf].predict(ds.x[obs[sel]]),
-                                                     eta_solutions[cf].eta)
+        # rows observed in the other arm get this arm's counterfactual interval
+        other = ds.d[obs] != arm
+        c_cf_lo[other], c_cf_hi[other] = expand_interval(*q.predict(ds.x[obs[other]]), sol.eta)
     c_ite_lo, c_ite_hi = _ite_interval(ds.d[obs], ds.y[obs], c_cf_lo, c_cf_hi)
 
     return CiseResult(cal_obs_idx=obs, c_cf_lo=c_cf_lo, c_cf_hi=c_cf_hi,
@@ -330,31 +310,27 @@ class AteEstimate:
 
 def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
     """Hajek-style IPW ATE on the observed rows, weighting by the inverse of
-    the treatment and response propensities (both fits seeded ``cfg.seed``)."""
+    the treatment and response propensities, each fitted on its own stream
+    under the run seed."""
     _require_both_arms(ds)
     obs = np.flatnonzero(ds.r == 1)
-    e_d_model = fit_propensity(ds.x, ds.d, cfg.learner, cfg.seed)
-    e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, cfg.learner, cfg.seed)
+    e_d_model = fit_propensity(ds.x, ds.d, cfg.learner,
+                               run_stream_seed(cfg.seed, "treatment_propensity"))
+    e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, cfg.learner,
+                               run_stream_seed(cfg.seed, "response_propensity"))
 
-    x_obs = ds.x[obs]
-    d_obs = ds.d[obs]
-    y_obs = ds.y[obs]
+    x_obs, d_obs, y_obs = ds.x[obs], ds.d[obs], ds.y[obs]
     e_d = e_d_model.predict_proba(x_obs)
     e_r = e_r_model.predict_proba(_with_treatment(x_obs, d_obs))
-
-    means = {}
-    variances = {}
+    means, variances = [], []
     for arm in (1, 0):
         sel = d_obs == arm
-        p_arm = e_d if arm == 1 else 1.0 - e_d
-        w = 1.0 / (p_arm[sel] * e_r[sel])
+        w = 1.0 / ((e_d if arm == 1 else 1.0 - e_d)[sel] * e_r[sel])
         mu = float(np.sum(w * y_obs[sel]) / np.sum(w))
+        means.append(mu)
         # linearized variance of the weighted mean
-        var = float(np.sum((w * (y_obs[sel] - mu)) ** 2) / np.sum(w) ** 2)
-        means[arm] = mu
-        variances[arm] = var
-    return AteEstimate(estimate=means[1] - means[0],
-                       se=math.sqrt(variances[1] + variances[0]))
+        variances.append(float(np.sum((w * (y_obs[sel] - mu)) ** 2) / np.sum(w) ** 2))
+    return AteEstimate(estimate=means[0] - means[1], se=math.sqrt(variances[0] + variances[1]))
 
 
 def diff_in_means(ds: ExperimentDataset) -> AteEstimate:

@@ -53,3 +53,11 @@ STREAMS = {
 def stream_seed(seed: int, name: str) -> int:
     """Seed of the named :data:`STREAMS` entry under a replicate seed."""
     return child_seed(seed, STREAMS[name])
+
+
+def run_stream_seed(seed: int, name: str) -> int:
+    """Seed of the named :data:`STREAMS` entry under a run seed, for fits made
+    once per run rather than per replicate.  The streams hang off the run
+    seed's index -1, which no replicate takes, and splitmix64 is a bijection,
+    so they never share a replicate's seed."""
+    return stream_seed(child_seed(seed, -1), name)

@@ -365,3 +365,14 @@ def test_criterion_10_cli_determinism(tmp_path):
     ok = sim_ok and ana_ok and rep_ok
     _report(10, ok, f"byte-identical reruns: simulate {sim_ok}, analyze {ana_ok}, "
                     f"report {rep_ok}")
+
+
+@pytest.mark.parametrize("kind", ["dgp2", "appendixE"])
+def test_criterion_11_cise_coverage_beyond_dgp1(kind):
+    """Criterion 3's coverage gate on the other designs: glm cise, n=1000,
+    alpha=gamma=0.025, 25 reps, mean attrition-group ITE coverage >= 0.90."""
+    report = run_mc(DgpSpec(kind=kind, n=1000, seed=SEED), "cise", CFG, reps=25)
+    cov = report.aggregate["mean_coverage"]
+    ok = cov >= 0.90 and report.wall_time < 120
+    _report(11, ok, f"{kind} attrition coverage {cov:.4f} (>= 0.90); "
+                    f"{report.wall_time:.1f}s (< 120s)")

@@ -11,6 +11,7 @@ from attrition_conformal.data import (ConformalConfig, DataValidationError,
 from attrition_conformal.io import ColumnMapping, load_csv, save_csv
 from attrition_conformal.pipelines import (diff_in_means, ipw_ate, run_cise,
                                            wcqr_nested_baseline)
+from attrition_conformal.simulation import DgpSpec, generate
 
 CSV_MAPPING = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
                             covariate_cols=("x1",))
@@ -227,6 +228,36 @@ def test_clean_csv_is_parsed_as_arrays(tmp_path):
     # a fancy-indexed column selection would be F-ordered
     assert ds.x.flags.c_contiguous
     assert ds.x.tolist() == [[0.5, 1.0], [-0.3, 0.2], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("header, row", [("id,{}", "u{},{}"),
+                                         ("id,id,{},id", "u{0},u{0},{1},u{0}")],
+                         ids=["leading id", "id repeated"])
+def test_unmapped_string_columns_are_parsed_as_arrays(tmp_path, header, row):
+    # a string ID column the mapping does not name keeps the array path, and
+    # the dataset is the row loop's; repeated unmapped names are covered too
+    plain = tmp_path / "plain.csv"
+    mapping = save_csv(generate(DgpSpec(kind="dgp2", n=200, seed=3)).dataset, plain)
+    head, *rows = plain.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "ids.csv"
+    path.write_text("\n".join([header.format(head), *(row.format(i, line)
+                                                      for i, line in enumerate(rows))]) + "\n")
+    with mock.patch.object(io, "_parse_rows", side_effect=AssertionError("row loop ran")):
+        fast = load_csv(path, mapping)
+    with mock.patch.object(io, "_parse_arrays", return_value=None):
+        slow = load_csv(path, mapping)
+    for name in ("x", "d", "r", "y"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_quoted_unmapped_field_is_left_to_the_row_loop(tmp_path):
+    # split at every comma, '"a,b"' fills the two unmapped columns and the row
+    # looks complete; csv reads it as one field, so the row is one field short
+    path = tmp_path / "data.csv"
+    path.write_text('id,s,x1,x2,d,r,y\n"a,b",0.5,1.0,1,1,2.5\n')
+    with pytest.raises(DataValidationError, match="no value in column 'y' at data row 0"):
+        load_csv(path, _CSV2_MAPPING)
 
 
 def test_token_only_float_reads_loads_through_the_row_loop(tmp_path):

@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from attrition_conformal import pipelines
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, make_splits)
 from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
@@ -298,6 +300,24 @@ def test_ipw_requires_both_arms():
                            y=rng.standard_normal(n))
     with pytest.raises(DataValidationError):
         ipw_ate(ds, ConformalConfig(seed=5))
+
+
+def test_ipw_fits_its_propensities_on_their_own_streams():
+    # two forests seeded alike draw identical bootstrap rows, and a replicate
+    # seed under the same run seed is another replicate's stream
+    ds, _ = _linear_draw(seed=59)
+    cfg = ConformalConfig(seed=5)
+    seeds, fit = [], pipelines.fit_propensity
+
+    def record(features, labels, learner, seed):
+        seeds.append(seed)
+        return fit(features, labels, learner, seed)
+
+    with mock.patch.object(pipelines, "fit_propensity", record):
+        ipw_ate(ds, cfg)
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
+    replicate_seeds = {cfg.seed, *(child_seed(cfg.seed, r) for r in range(2000))}
+    assert not replicate_seeds & set(seeds)
 
 
 def test_attrition_intervals_never_cross():

@@ -3,7 +3,7 @@
     PYTHONPATH=<checkout>/src python tools/report_grid.py OUT
 
 runs the package CLI (whichever ``attrition_conformal`` is on the path)
-over a fixed set of 22 commands and writes 46 files under OUT besides the run
+over a fixed set of 23 commands and writes 49 files under OUT besides the run
 manifests:
 
 - ``simulate`` on dgp1, dgp2 and appendixE with each method, glm, n=400,
@@ -15,6 +15,10 @@ manifests:
 - each method with random_forest on dgp1, n=300, 1 rep;
 - ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps) and
   using random_forest (2 reps), plus the CSV and its mapping file;
+- the glm cise ``analyze`` cell once more on the same CSV with a leading
+  string ``id`` column, which the mapping does not name, and the tool exits
+  non-zero unless its ``ate_summary.json`` and ``intervals.csv`` are
+  byte-equal to the plain cell's;
 - ``report`` over the nine one-worker glm ``simulate`` cells of the first item.
 
 Run it against two checkouts and compare with ``diff -r -x manifest.json``;
@@ -45,6 +49,12 @@ def _run(argv: list) -> None:
         raise SystemExit(f"exit {rc}: {' '.join(argv)}")
 
 
+def _require_equal(one: Path, two: Path, names: tuple, what: str) -> None:
+    for name in names:
+        if (one / name).read_bytes() != (two / name).read_bytes():
+            raise SystemExit(f"{name} differs between {what}")
+
+
 def build_grid(out: Path) -> None:
     glm_runs = []
     for dgp in ("dgp1", "dgp2", "appendixE"):
@@ -57,9 +67,7 @@ def build_grid(out: Path) -> None:
     _run(["simulate", "--dgp", "dgp1", "--n", "400", "--reps", "3", "--method", "cise",
           "--learner", "glm", "--seed", str(SEED), *LEVELS, "--threads", "2",
           "--out", str(two)])
-    for name in ("mc_report.json", "mc_long.csv"):
-        if (one / name).read_bytes() != (two / name).read_bytes():
-            raise SystemExit(f"{name} differs between --threads 1 and --threads 2")
+    _require_equal(one, two, ("mc_report.json", "mc_long.csv"), "--threads 1 and --threads 2")
     for name, dgp_args in (("dgp2_rho05", ["--dgp", "dgp2", "--rho", "0.5"]),
                            ("appendixE_mcar", ["--dgp", "appendixE", "--missingness", "MCAR"])):
         _run(["simulate", *dgp_args, "--n", "400", "--reps", "3", "--method", "cise",
@@ -79,11 +87,19 @@ def build_grid(out: Path) -> None:
                                     "response": mapping.response_col,
                                     "covariates": list(mapping.covariate_cols)}),
                         encoding="utf-8")
-    analyses = [(m, "glm", 3) for m in METHODS] + [(m, "random_forest", 2) for m in METHODS]
-    for method, learner, reps in analyses:
-        _run(["analyze", "--data", str(data), "--map", str(map_path), "--method", method,
+    head, *rows = data.read_text(encoding="utf-8").splitlines()
+    ids = data_dir / "data_ids.csv"
+    ids.write_text("\n".join([f"id,{head}", *(f"u{i},{row}" for i, row in enumerate(rows))])
+                   + "\n", encoding="utf-8")
+    analyses = ([(data, m, "glm", 3, f"{m}_glm") for m in METHODS]
+                + [(data, m, "random_forest", 2, f"{m}_random_forest") for m in METHODS]
+                + [(ids, "cise", "glm", 3, "cise_glm_ids")])
+    for csv_path, method, learner, reps, cell in analyses:
+        _run(["analyze", "--data", str(csv_path), "--map", str(map_path), "--method", method,
               "--learner", learner, "--reps", str(reps), "--seed", str(SEED), *LEVELS,
-              "--out", str(data_dir / f"{method}_{learner}")])
+              "--out", str(data_dir / cell)])
+    _require_equal(data_dir / "cise_glm", data_dir / "cise_glm_ids",
+                   ("ate_summary.json", "intervals.csv"), "the CSV with and without an id column")
 
     _run(["report", "--in", *map(str, glm_runs), "--out", str(out / "report")])
 
