@@ -110,44 +110,38 @@ def _data_rows(fh, mapping: ColumnMapping) -> csv.DictReader:
     return reader
 
 
-def _unmapped_field(token: str) -> float:
-    if '"' in token:  # csv reads a quoted field, which may hold the delimiter, as one
-        raise ValueError(f"quoted field {token!r}")
-    return 0.0
-
-
 def _parse_arrays(fh, header: list, mapping: ColumnMapping) -> tuple | None:
     """(x, d, r, y) from the data rows left in ``fh``, parsed as arrays.
 
-    None when a mapped field does not parse as a float, an unmapped one holds
-    a quote, a row's field count differs from the header's, or there is no
+    None when a mapped field does not parse as a float, an unmapped one is
+    quoted, a row's field count differs from the header's, or there is no
     data row: the row loop then loads the file or names the offending row
     and column.  Where this succeeds, every mapped token is one the row loop
-    reads to the same bits; unmapped columns, which neither path reads, parse
-    as 0.
+    reads to the same bits; an unmapped field is copied as its first character.
     """
     import warnings
 
     na_tokens = mapping.na_tokens
     col = header.index
-    mapped = (mapping.treatment_col, mapping.response_col, *mapping.covariate_cols)
-    # keyed by position, so that unmapped columns sharing a name are covered
-    converters = {j: _unmapped_field for j, name in enumerate(header) if name not in mapped}
-    converters[col(mapping.outcome_col)] = lambda tok: math.nan if tok in na_tokens else float(tok)
+    mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
+              *mapping.covariate_cols)
+    # one field per header position, so that unmapped columns sharing a name are covered
+    dtype = np.dtype([(str(j), "f8" if name in mapped else "U1") for j, name in enumerate(header)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without data rows
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters=converters)
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype, converters={
+                col(mapping.outcome_col): lambda tok: math.nan if tok in na_tokens else float(tok)})
     except ValueError:
         return None
-    if arr.shape[0] == 0 or arr.shape[1] != len(header):
+    # csv reads a field opening with a quote as one, delimiters and all
+    if arr.shape[0] == 0 or any((arr[f] == '"').any() for f in dtype.names if dtype[f].kind == "U"):
         return None
-    # np.take copies the columns C-ordered (a fancy-indexed x is F-ordered, and
-    # the fits' last digits follow the layout) and holds no view of arr, which
-    # is freed on return
-    x = np.take(arr, [col(c) for c in mapping.covariate_cols], axis=1)
-    d, r, y = np.take(arr, [col(mapping.treatment_col), col(mapping.response_col),
-                            col(mapping.outcome_col)], axis=1).T
+    # np.stack copies x C-ordered (the fits' last digits follow the layout),
+    # and every array is a copy, so none keeps arr alive once this returns
+    x = np.stack([arr[str(col(c))] for c in mapping.covariate_cols], axis=1)
+    d, r, y = (arr[str(col(c))].copy()
+               for c in (mapping.treatment_col, mapping.response_col, mapping.outcome_col))
     return x, d, r, y
 
 

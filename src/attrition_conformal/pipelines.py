@@ -109,11 +109,13 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         q = q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows], cfg.alpha / 2.0,
                                               1.0 - cfg.alpha / 2.0, cfg.learner,
                                               stream_seed(cfg.seed, f"quantile_pair_{arm}"))
-        tr1, tr2 = _arm_rows(ds, plan.train1, arm), _arm_rows(ds, plan.train2, arm)
+        tr1 = _arm_rows(ds, plan.train1, arm)
+        tr2 = _arm_rows(ds, plan.train2, arm)
         own = (ds.r[cal] == 1) & (ds.d[cal] == arm)
+        v_tr1 = cqr_score(ds.y[tr1], *q.predict(ds.x[tr1]))
+        v_tr2 = cqr_score(ds.y[tr2], *q.predict(ds.x[tr2]))
         v_cal = np.full(cal.size, np.nan)  # NaN off the arm's observed rows
-        v_tr1, v_tr2, v_cal[own] = (cqr_score(ds.y[i], *q.predict(ds.x[i]))
-                                    for i in (tr1, tr2, cal[own]))
+        v_cal[own] = cqr_score(ds.y[cal[own]], *q.predict(ds.x[cal[own]]))
         m_model = fit_conditional_cdf(ds.x[tr2], v_tr2, initial_eta(v_tr1, 1.0 - cfg.alpha),
                                       cfg.learner, stream_seed(cfg.seed, f"cdf_{arm}"))
         # The frozen CDF surrogate sits at its target level by construction,
@@ -319,18 +321,25 @@ def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
     e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, cfg.learner,
                                run_stream_seed(cfg.seed, "response_propensity"))
 
-    x_obs, d_obs, y_obs = ds.x[obs], ds.d[obs], ds.y[obs]
+    x_obs = ds.x[obs]
+    d_obs = ds.d[obs]
+    y_obs = ds.y[obs]
     e_d = e_d_model.predict_proba(x_obs)
     e_r = e_r_model.predict_proba(_with_treatment(x_obs, d_obs))
-    means, variances = [], []
+
+    means = {}
+    variances = {}
     for arm in (1, 0):
         sel = d_obs == arm
-        w = 1.0 / ((e_d if arm == 1 else 1.0 - e_d)[sel] * e_r[sel])
+        p_arm = e_d if arm == 1 else 1.0 - e_d
+        w = 1.0 / (p_arm[sel] * e_r[sel])
         mu = float(np.sum(w * y_obs[sel]) / np.sum(w))
-        means.append(mu)
         # linearized variance of the weighted mean
-        variances.append(float(np.sum((w * (y_obs[sel] - mu)) ** 2) / np.sum(w) ** 2))
-    return AteEstimate(estimate=means[0] - means[1], se=math.sqrt(variances[0] + variances[1]))
+        var = float(np.sum((w * (y_obs[sel] - mu)) ** 2) / np.sum(w) ** 2)
+        means[arm] = mu
+        variances[arm] = var
+    return AteEstimate(estimate=means[1] - means[0],
+                       se=math.sqrt(variances[1] + variances[0]))
 
 
 def diff_in_means(ds: ExperimentDataset) -> AteEstimate:

@@ -56,8 +56,7 @@ def stream_seed(seed: int, name: str) -> int:
 
 
 def run_stream_seed(seed: int, name: str) -> int:
-    """Seed of the named :data:`STREAMS` entry under a run seed, for fits made
-    once per run rather than per replicate.  The streams hang off the run
-    seed's index -1, which no replicate takes, and splitmix64 is a bijection,
-    so they never share a replicate's seed."""
+    """Seed of the named :data:`STREAMS` entry for a fit made once per run, under
+    the run seed's index -1.  No replicate takes it, so (splitmix64 being a bijection)
+    no run-level stream equals the same-named stream of a replicate."""
     return stream_seed(child_seed(seed, -1), name)

@@ -231,11 +231,13 @@ def test_clean_csv_is_parsed_as_arrays(tmp_path):
 
 
 @pytest.mark.parametrize("header, row", [("id,{}", "u{},{}"),
-                                         ("id,id,{},id", "u{0},u{0},{1},u{0}")],
-                         ids=["leading id", "id repeated"])
-def test_unmapped_string_columns_are_parsed_as_arrays(tmp_path, header, row):
+                                         ("id,id,{},id", "u{0},u{0},{1},u{0}"),
+                                         ("{},z,k", "{1},{0}.25,{0}")],
+                         ids=["leading id", "id repeated", "numeric"])
+def test_unmapped_columns_are_parsed_as_arrays(tmp_path, header, row):
     # a string ID column the mapping does not name keeps the array path, and
-    # the dataset is the row loop's; repeated unmapped names are covered too
+    # the dataset is the row loop's; repeated unmapped names and numeric
+    # unmapped columns are covered too
     plain = tmp_path / "plain.csv"
     mapping = save_csv(generate(DgpSpec(kind="dgp2", n=200, seed=3)).dataset, plain)
     head, *rows = plain.read_text(encoding="utf-8").splitlines()
