@@ -7,8 +7,7 @@ import math
 
 import numpy as np
 
-from .learners import fit_mean, fit_quantile_pair, repair_crossing
-from .rng import make_rng
+from .learners import repair_crossing
 
 # Relative slack when comparing cumulative weights against the target level;
 # absorbs float dust in normalized-weight sums without changing exact ties.
@@ -120,33 +119,24 @@ class CalibratedBand:
     uninformative: np.ndarray  # True where eta = +inf
 
 
-def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: float,
-                             weight_fn, learner: str, seed: int,
+def weighted_split_cqr_batch(qp, cal_x, cal_y, x_test, level: float, w_cal, w_test,
                              cap_at_max: bool = False) -> CalibratedBand:
     """Weighted split CQR for a batch of test points.
 
-    Fits the (level/2, 1 - level/2) quantile pair (``learner``, ``seed``) on
-    the proper training rows, scores the calibration rows, and calibrates
-    each test point with the weighted score quantile at 1 - level, the test
-    point entering as the infinity atom.  eta = +inf yields (-inf, +inf),
-    flagged uninformative; with ``cap_at_max`` an unreachable quantile falls
-    back to the largest calibration score instead (still flagged), trading
-    the finite-sample guarantee for a finite, very wide interval.
+    Scores the calibration rows against the fitted (level/2, 1 - level/2)
+    quantile pair ``qp`` and calibrates each test point with the weighted
+    score quantile at 1 - level: calibration row i carries ``w_cal[i]`` and
+    test point j enters as the infinity atom of mass ``w_test[j]``.  eta =
+    +inf yields (-inf, +inf), flagged uninformative; with ``cap_at_max`` an
+    unreachable quantile falls back to the largest calibration score instead
+    (still flagged), trading the finite-sample guarantee for a finite, very
+    wide interval.
     """
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=np.float64))
-    cal_x = np.atleast_2d(np.asarray(cal_x, dtype=np.float64))
-    x_test = np.atleast_2d(np.asarray(x_test, dtype=np.float64))
-    if train_x.shape[0] == 0 or cal_x.shape[0] == 0:
-        raise ValueError("train and calibration sets must be non-empty")
-
-    qp = fit_quantile_pair(train_x, train_y, level / 2.0, 1.0 - level / 2.0, learner, seed)
-    c_lo, c_hi = qp.predict(cal_x)
-    scores = cqr_score(np.asarray(cal_y, dtype=np.float64), c_lo, c_hi)
-
-    w_cal = np.asarray(weight_fn(cal_x), dtype=np.float64)
-    w_test = np.asarray(weight_fn(x_test), dtype=np.float64)
+    scores = cqr_score(cal_y, *qp.predict(cal_x))
+    w_cal = np.asarray(w_cal, dtype=np.float64)
+    w_test = np.asarray(w_test, dtype=np.float64)
     if np.any(~np.isfinite(w_cal)) or np.any(w_cal <= 0) or np.any(~np.isfinite(w_test)) or np.any(w_test <= 0):
-        raise ValueError("weight_fn must be finite and positive")
+        raise ValueError("weights must be finite and positive")
 
     t_lo, t_hi = qp.predict(x_test)
     eta = weighted_quantile(ScoreSet(scores, w_cal, w_test), 1.0 - level)
@@ -157,32 +147,17 @@ def weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, level: floa
     return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=uninformative)
 
 
-def unweighted_interval_conformal_batch(obs_x, obs_lo, obs_hi, x_test, gamma: float,
-                                        learner: str, lo_seed: int, hi_seed: int,
-                                        split_seed: int) -> CalibratedBand:
+def unweighted_interval_conformal_batch(h_lo, h_hi, cal_x, cal_lo, cal_hi, x_test,
+                                        gamma: float) -> CalibratedBand:
     """Conformal inference for interval outcomes (unweighted) at many points.
 
-    Splits the observed (x, interval) rows in half with ``split_seed``, fits
-    the endpoint mean models (``learner``, seeded ``lo_seed`` and ``hi_seed``)
-    on the first part, scores the second with the interval nonconformity, and
-    expands by the ceil((1 - gamma)(n_cal + 1))-th order statistic.
+    Scores the calibration rows' intervals [cal_lo, cal_hi] against the
+    fitted endpoint mean models ``h_lo`` and ``h_hi`` with the interval
+    nonconformity, and expands their predictions at ``x_test`` by the
+    ceil((1 - gamma)(n_cal + 1))-th order statistic.
     """
-    obs_x = np.atleast_2d(np.asarray(obs_x, dtype=np.float64))
-    obs_lo = np.asarray(obs_lo, dtype=np.float64)
-    obs_hi = np.asarray(obs_hi, dtype=np.float64)
-    x_test = np.atleast_2d(np.asarray(x_test, dtype=np.float64))
-    n = obs_x.shape[0]
-    if n < 4:
-        raise ValueError("interval conformal needs at least 4 observed rows")
-
-    order = make_rng(split_seed).permutation(n)
-    n_tr = n // 2
-    tr, ca = order[:n_tr], order[n_tr:]
-
-    h_lo = fit_mean(obs_x[tr], obs_lo[tr], learner, lo_seed)
-    h_hi = fit_mean(obs_x[tr], obs_hi[tr], learner, hi_seed)
-    scores = interval_score(obs_lo[ca], obs_hi[ca], h_lo.predict(obs_x[ca]),
-                            h_hi.predict(obs_x[ca]))
-    eta = np.full(x_test.shape[0], unweighted_quantile(scores, 1.0 - gamma))
-    lo, hi = expand_interval(h_lo.predict(x_test), h_hi.predict(x_test), eta)
+    scores = interval_score(cal_lo, cal_hi, h_lo.predict(cal_x), h_hi.predict(cal_x))
+    t_lo = h_lo.predict(x_test)
+    eta = np.full(t_lo.shape, unweighted_quantile(scores, 1.0 - gamma))
+    lo, hi = expand_interval(t_lo, h_hi.predict(x_test), eta)
     return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=~np.isfinite(eta))

@@ -247,9 +247,10 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
     order = obs[make_rng(stream_seed(cfg.seed, "baseline_halves")).permutation(obs.size)]
     half = order.size // 2
     z1, z2 = order[:half], order[half:]
-    for arm in (0, 1):
-        if (ds.d[z1] == arm).sum() < 4 or (ds.d[z2] == arm).sum() < 1:
-            raise InsufficientDataError(f"too few arm-{arm} rows in the baseline folds")
+    for arm in (0, 1):  # an arm's quantile pair is fitted on half its z1 rows and needs 4
+        if (ds.d[z1] == arm).sum() < 8 or (ds.d[z2] == arm).sum() < 1:
+            raise InsufficientDataError(f"too few arm-{arm} rows in the baseline folds "
+                                        "(z1 needs 8, z2 needs 1)")
 
     e_d_model = fit_propensity(ds.x[z1], ds.d[z1], cfg.learner,
                                stream_seed(cfg.seed, "baseline_propensity"))
@@ -262,18 +263,18 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
         rng_arm = make_rng(stream_seed(cfg.seed, f"baseline_cqr_split_{arm}"))
         perm = src[rng_arm.permutation(src.size)]
         tr, ca = perm[:perm.size // 2], perm[perm.size // 2:]
+        qp = fit_quantile_pair(ds.x[tr], ds.y[tr], cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0,
+                               cfg.learner, stream_seed(cfg.seed, f"baseline_cqr_{arm}"))
 
-        def weight_fn(x):  # covariate shift from arm cf to arm: P(D = arm | x) / P(D = cf | x)
-            p = e_d_model.predict_proba(x)
+        def shift_odds(rows):  # covariate shift from arm cf to arm: P(D = arm | x) / P(D = cf | x)
+            p = e_d_model.predict_proba(ds.x[rows])
             return p / (1.0 - p) if cf == 0 else (1.0 - p) / p
 
         sel = ds.d[z2] == arm
         # unreachable weighted quantiles fall back to the largest score so
         # the baseline keeps producing (very wide) finite intervals
-        band = weighted_split_cqr_batch(ds.x[tr], ds.y[tr], ds.x[ca], ds.y[ca],
-                                        ds.x[z2[sel]], cfg.alpha, weight_fn, cfg.learner,
-                                        stream_seed(cfg.seed, f"baseline_cqr_{arm}"),
-                                        cap_at_max=True)
+        band = weighted_split_cqr_batch(qp, ds.x[ca], ds.y[ca], ds.x[z2[sel]], cfg.alpha,
+                                        shift_odds(ca), shift_odds(z2[sel]), cap_at_max=True)
         if band.uninformative.any():
             flags.append(f"{int(band.uninformative.sum())} capped counterfactual intervals (arm {cf})")
         c_cf_lo[sel], c_cf_hi[sel] = band.lo, band.hi
@@ -289,10 +290,15 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
         raise InsufficientDataError("too few finite baseline ITE intervals")
     fz, flo, fhi = z2[finite], c_ite_lo[finite], c_ite_hi[finite]
     if exact:
-        band = unweighted_interval_conformal_batch(
-            ds.x[fz], flo, fhi, ds.x[att], cfg.gamma, cfg.learner,
-            stream_seed(cfg.seed, "exact_endpoint_lo"), stream_seed(cfg.seed, "exact_endpoint_hi"),
-            stream_seed(cfg.seed, "exact_endpoint_split"))
+        # endpoint models on one half of the finite rows, calibrated on the other
+        perm = make_rng(stream_seed(cfg.seed, "exact_endpoint_split")).permutation(fz.size)
+        tr, ca = perm[:fz.size // 2], perm[fz.size // 2:]
+        h_lo = fit_mean(ds.x[fz[tr]], flo[tr], cfg.learner,
+                        stream_seed(cfg.seed, "exact_endpoint_lo"))
+        h_hi = fit_mean(ds.x[fz[tr]], fhi[tr], cfg.learner,
+                        stream_seed(cfg.seed, "exact_endpoint_hi"))
+        band = unweighted_interval_conformal_batch(h_lo, h_hi, ds.x[fz[ca]], flo[ca], fhi[ca],
+                                                   ds.x[att], cfg.gamma)
         if band.uninformative.any():
             result.flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
         return replace(result, che_lo=band.lo, che_hi=band.hi, eta_gamma=float(band.eta[0]))

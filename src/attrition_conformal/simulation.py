@@ -80,18 +80,15 @@ def dgp1_f(x):
 
 
 def dgp1_cate(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return dgp1_f(x[:, 0]) * dgp1_f(x[:, 1])
 
 
 def dgp1_e_d(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     t = np.clip(x[:, 0], 0.0, 1.0)
     return 0.25 * (1.0 + betainc(2.0, 4.0, t))
 
 
 def dgp1_e_r(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return expit(-0.25 + 0.5 * np.asarray(d) + 0.2 * x[:, 0] - 0.3 * x[:, 1])
 
 
@@ -101,30 +98,26 @@ def dgp2_base(x: np.ndarray) -> np.ndarray:
 
 
 def dgp2_cate(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return x[:, 0] ** 2 + 0.2 * x[:, 1] + 0.8 * np.exp(x[:, 3])
 
 
 def dgp2_e_d(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return expit(-0.5 * x[:, 0] - 0.3 * x[:, 1] + 0.2 * x[:, 2])
 
 
 def dgp2_e_r(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return expit(-1.0 + 0.3 * np.asarray(d) + 0.5 * x[:, 0] - 0.4 * x[:, 1])
 
 
 def appendix_e_cate(x: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(x).sum(axis=1)
+    return x.sum(axis=1)
 
 
 def appendix_e_e_d(x: np.ndarray) -> np.ndarray:
-    return ndtr(np.atleast_2d(x)[:, 0])
+    return ndtr(x[:, 0])
 
 
 def appendix_e_e_r(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(x)
     return expit(-0.2 + 0.5 * np.asarray(d) + 0.2 * x[:, 0] - 0.3 * x[:, 1])
 
 

@@ -18,6 +18,7 @@ from attrition_conformal.conformal import ScoreSet, weighted_quantile, weighted_
 from attrition_conformal.data import ConformalConfig, ExperimentDataset
 from attrition_conformal.eif import (counterfactual_terms, extrapolation_terms, psi_eval,
                                      solve_smallest_eta)
+from attrition_conformal.learners import fit_quantile_pair
 from attrition_conformal.pipelines import run_cise
 from attrition_conformal.rng import make_rng
 from attrition_conformal.simulation import (DgpSpec, dgp1_e_d, dgp1_e_r,
@@ -60,10 +61,9 @@ def test_criterion_1_split_cqr_marginal_coverage():
         beta = rng.standard_normal(4)
         x = rng.standard_normal((2200, 4))
         y = x @ beta + rng.standard_normal(2200)
-        band = weighted_split_cqr_batch(x[:1000], y[:1000], x[1000:2000], y[1000:2000],
-                                        x[2000:], alpha,
-                                        lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                                        "glm", 0)
+        qp = fit_quantile_pair(x[:1000], y[:1000], alpha / 2, 1 - alpha / 2, "glm", 0)
+        band = weighted_split_cqr_batch(qp, x[1000:2000], y[1000:2000], x[2000:], alpha,
+                                        np.ones(1000), np.ones(200))
         covers.append(np.mean((band.lo <= y[2000:]) & (y[2000:] <= band.hi)))
     mean_cov = float(np.mean(covers))
     elapsed = time.time() - start

@@ -10,6 +10,7 @@ from attrition_conformal.conformal import (_CUM_EPS, ScoreSet, cqr_score,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
                                            weighted_split_cqr_batch)
+from attrition_conformal.learners import fit_mean, fit_quantile_pair
 from attrition_conformal.rng import make_rng
 
 
@@ -181,11 +182,9 @@ def test_batch_cqr_eta_agrees_with_weighted_quantile():
         return 1.0 + np.abs(z[:, 0])
 
     level = 0.2
-    band = weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test,
-                                    level, weight_fn, "glm", 1)
-    from attrition_conformal.learners import fit_quantile_pair
-
     qp = fit_quantile_pair(train_x, train_y, level / 2, 1 - level / 2, "glm", 1)
+    band = weighted_split_cqr_batch(qp, cal_x, cal_y, x_test, level,
+                                    weight_fn(cal_x), weight_fn(x_test))
     lo, hi = qp.predict(cal_x)
     scores = np.maximum(lo - cal_y, cal_y - hi)
     w_cal = weight_fn(cal_x)
@@ -208,10 +207,15 @@ def test_weighted_quantile_raising_top_weight_never_decreases():
 
 # ---- weighted split CQR -----------------------------------------------------
 
+def _unit_weight_cqr(train_x, train_y, cal_x, cal_y, x_test, level):
+    """Weighted split CQR with unit weights on a glm pair fitted with seed 0."""
+    qp = fit_quantile_pair(train_x, train_y, level / 2, 1 - level / 2, "glm", 0)
+    return weighted_split_cqr_batch(qp, cal_x, cal_y, x_test, level,
+                                    np.ones(len(cal_y)), np.ones(len(x_test)))
+
+
 def _independent_split_cqr(train_x, train_y, cal_x, cal_y, x_test, alpha, learner, seed):
     """Plain split CQR written independently of the weighted implementation."""
-    from attrition_conformal.learners import fit_quantile_pair
-
     qp = fit_quantile_pair(train_x, train_y, alpha / 2, 1 - alpha / 2, learner, seed)
     lo, hi = qp.predict(cal_x)
     scores = np.maximum(lo - cal_y, cal_y - hi)
@@ -229,8 +233,7 @@ def test_weight_one_reduces_to_plain_split_cqr():
     cal_y = rng.standard_normal(999)
     x_test = rng.standard_normal((20, 3))
 
-    band = weighted_split_cqr_batch(train_x, train_y, cal_x, cal_y, x_test, 0.1,
-                                    lambda x: np.ones(np.atleast_2d(x).shape[0]), "glm", 0)
+    band = _unit_weight_cqr(train_x, train_y, cal_x, cal_y, x_test, 0.1)
     want_lo, want_hi = _independent_split_cqr(train_x, train_y, cal_x, cal_y,
                                               x_test, 0.1, "glm", 0)
     assert np.allclose(band.lo, want_lo)
@@ -246,9 +249,7 @@ def test_constant_outcomes_give_point_interval():
     rng = make_rng(13)
     x = rng.standard_normal((50, 2))
     y = np.full(50, 2.5)
-    band = weighted_split_cqr_batch(x[:25], y[:25], x[25:], y[25:], x[:1], 0.1,
-                                    lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                                    "glm", 0)
+    band = _unit_weight_cqr(x[:25], y[:25], x[25:], y[25:], x[:1], 0.1)
     assert band.lo[0] == pytest.approx(2.5) and band.hi[0] == pytest.approx(2.5)
 
 
@@ -263,14 +264,27 @@ def test_uninformative_interval_when_test_weight_dominates():
         return np.where(np.abs(z[:, 0]) > 90, 1e6, 1.0)
 
     x_test = np.full((1, 2), 99.0)
-    band = weighted_split_cqr_batch(x[:20], y[:20], x[20:], y[20:], x_test, 0.1,
-                                    weight_fn, "glm", 0)
+    qp = fit_quantile_pair(x[:20], y[:20], 0.05, 0.95, "glm", 0)
+    band = weighted_split_cqr_batch(qp, x[20:], y[20:], x_test, 0.1,
+                                    weight_fn(x[20:]), weight_fn(x_test))
     assert band.uninformative[0]
     assert band.lo[0] == -math.inf and band.hi[0] == math.inf
-    capped = weighted_split_cqr_batch(x[:20], y[:20], x[20:], y[20:], x_test, 0.1,
-                                      weight_fn, "glm", 0,
-                                      cap_at_max=True)
+    capped = weighted_split_cqr_batch(qp, x[20:], y[20:], x_test, 0.1,
+                                      weight_fn(x[20:]), weight_fn(x_test), cap_at_max=True)
     assert capped.uninformative[0] and math.isfinite(capped.lo[0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("where", ["w_cal", "w_test"])
+def test_weights_must_be_finite_and_positive(bad, where):
+    rng = make_rng(17)
+    x = rng.standard_normal((45, 2))
+    y = rng.standard_normal(45)
+    qp = fit_quantile_pair(x[:20], y[:20], 0.05, 0.95, "glm", 0)
+    weights = {"w_cal": np.ones(20), "w_test": np.ones(5)}
+    weights[where][3] = bad
+    with pytest.raises(ValueError, match="weights must be finite and positive"):
+        weighted_split_cqr_batch(qp, x[20:40], y[20:40], x[40:], 0.1, **weights)
 
 
 def test_split_cqr_marginal_coverage():
@@ -281,10 +295,7 @@ def test_split_cqr_marginal_coverage():
     for _ in range(60):
         x = rng.standard_normal((360, 2))
         y = x[:, 0] + rng.standard_normal(360)
-        band = weighted_split_cqr_batch(x[:150], y[:150], x[150:300], y[150:300],
-                                        x[300:], 0.1,
-                                        lambda z: np.ones(np.atleast_2d(z).shape[0]),
-                                        "glm", 0)
+        band = _unit_weight_cqr(x[:150], y[:150], x[150:300], y[150:300], x[300:], 0.1)
         hits += int(np.sum((band.lo <= y[300:]) & (y[300:] <= band.hi)))
         total += 60
     coverage = hits / total
@@ -294,12 +305,21 @@ def test_split_cqr_marginal_coverage():
 
 # ---- unweighted interval conformal -----------------------------------------
 
+def _interval_conformal(x, lo, hi, x_test, gamma, split_seed):
+    """Glm endpoint means (seed 0) fitted on one half of the rows, split by
+    ``split_seed``, and interval conformal calibrated on the other half."""
+    order = make_rng(split_seed).permutation(x.shape[0])
+    tr, ca = order[:x.shape[0] // 2], order[x.shape[0] // 2:]
+    h_lo, h_hi = fit_mean(x[tr], lo[tr], "glm", 0), fit_mean(x[tr], hi[tr], "glm", 0)
+    return unweighted_interval_conformal_batch(h_lo, h_hi, x[ca], lo[ca], hi[ca], x_test, gamma)
+
+
 def test_interval_conformal_identical_intervals():
     rng = make_rng(37)
     x = rng.standard_normal((40, 2))
     lo = np.zeros(40)
     hi = np.ones(40)
-    band = unweighted_interval_conformal_batch(x, lo, hi, x[:1], 0.2, "glm", 0, 0, split_seed=0)
+    band = _interval_conformal(x, lo, hi, x[:1], 0.2, split_seed=0)
     assert band.lo[0] == pytest.approx(0.0, abs=1e-9)
     assert band.hi[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -311,8 +331,7 @@ def test_interval_conformal_quantile_index_rule():
     x = rng.standard_normal((n, 2))
     lo = x[:, 0] - 1.0 + 0.1 * rng.standard_normal(n)
     hi = x[:, 0] + 1.0 + 0.1 * rng.standard_normal(n)
-    band = unweighted_interval_conformal_batch(x, lo, hi, x[:5], 0.05, "glm", 0, 0,
-                                               split_seed=3)
+    band = _interval_conformal(x, lo, hi, x[:5], 0.05, split_seed=3)
     assert math.isfinite(band.eta[0])
     # reconstruct: eta must be one of the calibration scores at index 95
     # (verified indirectly: 6% of scores sit above eta, within rounding)
@@ -325,11 +344,6 @@ def test_interval_conformal_single_calibration_row_is_unbounded():
     x = rng.standard_normal((4, 2))  # split 2/2; gamma small forces index 3 > 2
     lo, hi = x[:, 0] - 1, x[:, 0] + 1
     with np.errstate(all="ignore"):
-        band = unweighted_interval_conformal_batch(x, lo, hi, x[:2], 0.05, "glm", 0, 0,
-                                                   split_seed=0)
+        band = _interval_conformal(x, lo, hi, x[:2], 0.05, split_seed=0)
     assert band.uninformative.all()
     assert band.lo[0] == -math.inf
-
-    with pytest.raises(ValueError):
-        unweighted_interval_conformal_batch(x[:3], lo[:3], hi[:3], x[:1], 0.05, "glm", 0, 0,
-                                            split_seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from attrition_conformal import pipelines
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
-                                      ExperimentDataset, make_splits)
+                                      ExperimentDataset, InsufficientDataError, make_splits)
 from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
                                            cise_step2, ipw_ate, run_cise,
                                            wcqr_nested_baseline)
@@ -244,6 +244,30 @@ def test_wcqr_inexact_variant_produces_intervals():
     res = wcqr_nested_baseline(ds, cfg, exact=False)
     assert res.che_lo.size == res.att_idx.size
     assert (res.che_lo <= res.che_hi).all()
+
+
+def test_baseline_guards_count_the_rows_their_fits_get(monkeypatch):
+    # an arm's quantile pair is fitted on half of its z1 rows and needs 4, so
+    # 10 controls (7 observed) stop at the arm guard, never inside that fit
+    ds, _ = _linear_draw(n=60, seed=0)
+    ds = replace(ds, d=np.repeat([0, 1], [10, 50]))
+    for seed in range(3):
+        with pytest.raises(InsufficientDataError,
+                           match="too few arm-0 rows in the baseline folds"):
+            wcqr_nested_baseline(ds, ConformalConfig(seed=seed), exact=True)
+
+    # the exact step fits each endpoint on half of the finite ITE intervals
+    # and needs 4 of them: one finite counterfactual interval per arm is too few
+    real = pipelines.weighted_split_cqr_batch
+
+    def unbounded_but_one(*args, **kwargs):
+        band = real(*args, **kwargs)
+        return replace(band, lo=np.where(np.arange(band.lo.size) == 0, band.lo, -math.inf))
+
+    monkeypatch.setattr(pipelines, "weighted_split_cqr_batch", unbounded_but_one)
+    ds, _ = _linear_draw(n=300, seed=5)
+    with pytest.raises(InsufficientDataError, match="too few finite baseline ITE intervals"):
+        wcqr_nested_baseline(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=3), exact=True)
 
 
 @pytest.mark.parametrize("kind, seed, exact", [("dgp2", 1, False), ("dgp2", 1, True),
