@@ -29,8 +29,7 @@ class FittedForest:
 
     features: np.ndarray    # (T, width) int32 split feature, -1 at leaves
     thresholds: np.ndarray  # (T, width)
-    lefts: np.ndarray       # (T, width) int32
-    rights: np.ndarray      # (T, width) int32
+    lefts: np.ndarray       # (T, width) int32; a right child is its left + 1
     values: np.ndarray      # (T, width) node means
     grouped_targets: np.ndarray  # (T * n,) fitting targets ordered by leaf per tree
     leaf_start: np.ndarray  # (T, width) int32 offsets into grouped_targets
@@ -45,7 +44,7 @@ class FittedForest:
 
     def predict_mean(self, x: np.ndarray) -> np.ndarray:
         return kernels.forest_mean(self._matrix(x), self.features, self.thresholds,
-                                   self.lefts, self.rights, self.values)
+                                   self.lefts, self.values)
 
     def predict_quantiles(self, x: np.ndarray, q_lo: float, q_hi: float) -> tuple[np.ndarray, np.ndarray]:
         """Pooled quantiles, routed and pooled ``kernels.ROUTE_ROWS`` rows at a
@@ -55,7 +54,7 @@ class FittedForest:
         for a in range(0, x.shape[0], kernels.ROUTE_ROWS):
             rows = slice(a, a + kernels.ROUTE_ROWS)
             leaf_mat = kernels.forest_leaf_matrix(x[rows], self.features, self.thresholds,
-                                                  self.lefts, self.rights)
+                                                  self.lefts)
             lo[rows], hi[rows] = kernels.forest_pooled_quantiles(
                 leaf_mat, self.grouped_targets, self.leaf_start, self.leaf_count,
                 float(q_lo), float(q_hi))
@@ -89,34 +88,36 @@ def fit_forest(x: np.ndarray, y: np.ndarray, seed: int) -> FittedForest:
     features = np.full((T, max_nodes), -1, np.int32)
     thresholds = np.zeros((T, max_nodes), np.float64)
     lefts = np.full((T, max_nodes), -1, np.int32)
-    rights = np.full((T, max_nodes), -1, np.int32)
     values = np.zeros((T, max_nodes), np.float64)
     grouped = np.empty(T * n, np.float64)
     leaf_start = np.zeros((T, max_nodes), np.int32)
     leaf_count = np.zeros((T, max_nodes), np.int32)
 
+    # a tree of n rows has at most n // MIN_LEAF leaves, so fewer nodes than
+    # 2 * (n // MIN_LEAF); it reads the uniforms of those node ids only
+    slots = min(max_nodes, max(1, 2 * (n // MIN_LEAF))) * mtry
     n_nodes = np.empty(T, np.int64)
     n_blocks = -(-T // max(1, BLOCK_ROWS // n))
     per_block = -(-T // n_blocks)  # blocks of equal size
     for t0 in range(0, T, per_block):
         block = range(t0, min(T, t0 + per_block))
         boot = np.empty((len(block), n), np.int64)
-        feat_rand = np.empty((len(block), max_nodes * mtry))
+        feat_rand = np.empty((len(block), slots))
         for b, t in enumerate(block):
             rng = make_rng(child_seed(seed, t))
             boot[b] = rng.integers(0, n, size=n)
-            feat_rand[b] = rng.random(max_nodes * mtry)
+            feat_rand[b] = rng.random(slots)
         rows = slice(t0, block.stop)
         n_nodes[rows] = kernels.grow_tree(
             x, y, boot, feat_rand, MAX_DEPTH, MIN_LEAF, mtry, features[rows],
-            thresholds[rows], lefts[rows], rights[rows], values[rows],
+            thresholds[rows], lefts[rows], values[rows],
             leaf_start[rows], leaf_count[rows], grouped[t0 * n:block.stop * n])
         leaf_start[rows] += np.where(leaf_count[rows] > 0, t0 * n, 0).astype(np.int32)
 
     width = int(n_nodes.max())
-    features, thresholds, lefts, rights, values, leaf_start, leaf_count = (
+    features, thresholds, lefts, values, leaf_start, leaf_count = (
         np.ascontiguousarray(a[:, :width]) for a in
-        (features, thresholds, lefts, rights, values, leaf_start, leaf_count))
+        (features, thresholds, lefts, values, leaf_start, leaf_count))
     return FittedForest(features=features, thresholds=thresholds, lefts=lefts,
-                        rights=rights, values=values, grouped_targets=grouped,
+                        values=values, grouped_targets=grouped,
                         leaf_start=leaf_start, leaf_count=leaf_count, k=k)

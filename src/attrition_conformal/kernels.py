@@ -4,7 +4,9 @@
 from every tree's own depth-first stack and scores all of the popped nodes
 together.  Every tree keeps the node numbering of a one-tree-at-a-time
 depth-first grower, so node ``i`` draws its candidate features from the
-same uniforms and the fitted trees are the same bit for bit.
+same uniforms and the fitted trees are the same bit for bit.  Between
+steps the grower keeps one array of each node's rows in row order; a node
+sorts its rows by its drawn features only when it is scored.
 ``apply_tree`` routes rows through every tree at once.
 ``forest_pooled_quantiles`` counts each test point's pooled leaf targets
 per distinct value and reads the two order statistics of each quantile
@@ -35,52 +37,53 @@ def _ragged(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - (ends - length), length) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _partition(layers, goes_left, start, length, n_left):
-    """Stable partition of the segments ``[start, start + length)`` of every
-    layer, rows flagged in ``goes_left`` first.  Every layer holds the same
-    rows in a segment, so each has ``n_left`` of them going left."""
-    at = _ragged(start, length)
-    to_left = _ragged(start, n_left)
-    to_right = _ragged(start + n_left, length - n_left)
-    for lay in layers:  # a layer at a time stays in cache
-        moved = lay[at]
-        is_left = goes_left[moved]
-        lay[to_left] = moved[is_left]
-        lay[to_right] = moved[~is_left]
+def _partition(order, goes_left, start, length, n_left):
+    """Stable partition of the segments ``[start, start + length)`` of
+    ``order``, rows flagged in ``goes_left`` first; clears their flags."""
+    moved = order[_ragged(start, length)]
+    is_left = goes_left[moved]
+    order[_ragged(start, n_left)] = moved[is_left]
+    order[_ragged(start + n_left, length - n_left)] = moved[~is_left]
+    goes_left[moved] = False
 
 
-def _draw_features(feat_rand, n_slots, n_try, k):
-    """Candidate features of nodes 0 .. n_slots - 1 of every tree, shape
-    (n_trees, n_slots, n_try): node i's partial Fisher-Yates draw uses the
+def _draw_features(feat_rand, n_try, k):
+    """Candidate features of every node slot of every tree, shape
+    (n_trees, slots, n_try): node i's partial Fisher-Yates draw uses the
     uniforms ``feat_rand[:, i * n_try:(i + 1) * n_try]``."""
-    u = feat_rand[:, :n_slots * n_try].reshape(-1, n_try)
+    u = feat_rand.reshape(-1, n_try)
     ids = np.tile(np.arange(k, dtype=np.int32), (u.shape[0], 1))
     r = np.arange(u.shape[0])
     for t in range(n_try):
         j = np.minimum(t + (u[:, t] * (k - t)).astype(np.int64), k - 1)
         ids[r, t], ids[r, j] = ids[r, j], ids[r, t]
-    return ids[:, :n_try].astype(np.int64).reshape(feat_rand.shape[0], n_slots, n_try)
+    return ids[:, :n_try].astype(np.int64).reshape(feat_rand.shape[0], -1, n_try)
 
 
 def grow_tree(x, y, boot, feat_rand, max_depth, min_leaf, mtry,
-              feature, threshold, left, right, value, leaf_start, leaf_count, grouped):
+              feature, threshold, left, value, leaf_start, leaf_count, grouped):
     """Grow one CART regression tree per row of ``boot``, all in lockstep.
 
     Tree b fits ``x[boot[b]]``, ``y[boot[b]]``.  Split search maximizes the
     variance reduction over ``mtry`` features drawn per node from
     ``feat_rand[b]`` (a partial Fisher-Yates draw per node, indexed by node
-    id).  Thresholds equal the largest left-child value with the rule
+    id), which holds ``min(mtry, k)`` uniforms for every node id the tree
+    can reach.
+    Thresholds equal the largest left-child value with the rule
     "x <= threshold goes left", so partitions are exact in floating point.
+    A split node's right child is its left child + 1.
 
     Row b of the node arrays (``feature`` ... ``leaf_count``) arrives filled
     with leaf defaults and receives tree b.  ``grouped`` receives each
     tree's targets ordered by leaf id, then by row, and ``leaf_start`` /
     ``leaf_count`` index into it.  Returns each tree's node count.
 
-    Every feature's row order is sorted once per block and kept within
-    each node by stable partitions.  Prefix sums of the targets run
-    sequentially within each node, as a one-tree grower's ``cumsum`` does:
-    nodes of similar size are padded into the rows of one 2-D array.
+    One array holds each node's rows in row order, kept by a stable
+    partition at every split.  A node that may split sorts its rows by each
+    drawn feature's dense rank when it is scored, ties in row order.
+    Prefix sums of the targets run sequentially within each node, as a
+    one-tree grower's ``cumsum`` does: nodes of similar size are padded
+    into the rows of one 2-D array.
     """
     n_trees, n = boot.shape
     k = x.shape[1]
@@ -90,26 +93,13 @@ def grow_tree(x, y, boot, feat_rand, max_depth, min_leaf, mtry,
     flat_boot = boot.ravel()
     yb = y[flat_boot]
 
-    # order[0] holds each node's rows in row order, order[1 + f] sorted by
-    # feature f (ties in row order); dense ranks decide every comparison.
-    # Each layer is padded by n rows, so a node's padded width stays inside.
-    stride = n_rows + n
-    rank = np.empty((k, n_rows), np.int32)
-    order = np.zeros((k + 1, stride), np.int32)
-    order[0, :n_rows] = np.arange(n_rows)
-    tree_base = np.arange(n_trees)[:, None] * n
-    pos = np.arange(n)
-    for f in range(k):
-        r = np.unique(x[:, f], return_inverse=True)[1][boot]
-        rank[f] = r.ravel()
-        key = r * n + pos
-        key.sort(axis=1)
-        order[f + 1, :n_rows] = (key % n + tree_base).ravel()
-    order_flat, rank_flat = order.ravel(), rank.ravel()
-
-    # a tree of n rows has at most n // min_leaf leaves, so fewer nodes than
-    # 2 * (n // min_leaf)
-    drawn = _draw_features(feat_rand, min(max_nodes, max(1, 2 * (n // min_leaf))), n_try, k)
+    # dense ranks of x's rows decide every comparison.  ``order`` holds each
+    # node's rows in row order and is padded by n rows, so a node's padded
+    # width stays inside.
+    rank = np.stack([np.unique(c, return_inverse=True)[1] for c in x.T]).ravel()
+    order = np.zeros(n_rows + n, np.int32)
+    order[:n_rows] = np.arange(n_rows)
+    drawn = _draw_features(feat_rand, n_try, k)
 
     # a depth-first stack per tree: (node, start, end, depth) entries
     stack = np.empty((n_trees, max_depth + 1, 4), np.int64)
@@ -145,27 +135,31 @@ def grow_tree(x, y, boot, feat_rand, max_depth, min_leaf, mtry,
             batches += [(members[i:i + per_batch], width)
                         for i in range(0, members.size, per_batch)]
         for sel, width in batches:
-            spl = sel[can[sel]]
-            # one padded row per (node, layer): layer 0 for every node, then
-            # the drawn features of the splittable ones
-            seg = np.concatenate((sel, np.repeat(spl, n_try)))
-            layer = np.concatenate((np.zeros(sel.size, np.int64), feats[spl].ravel() + 1))
             col = np.arange(width)
-            rows = order_flat[(layer * stride + start[seg])[:, None] + col]
+            rows = order[start[sel][:, None] + col]
             # a padded row runs on into other nodes' rows; the sums are
             # sequential, so its first m entries are the node's own prefix sums
-            cum = np.cumsum(yb[rows], axis=1)
-            total[sel] = cum[np.arange(sel.size), m[sel] - 1]
+            total[sel] = np.cumsum(yb[rows], axis=1)[np.arange(sel.size), m[sel] - 1]
+            spl = sel[can[sel]]
             if spl.size == 0:
                 continue
 
-            # left child sizes p = lo .. width - lo; sorted position p - 1 is
-            # the threshold row
+            # sort the keys (rank << 32) | row of each drawn feature: ties
+            # fall in row order, and columns past the node's end take rank n
+            # and sort last
             lo = min_leaf
             ms = m[spl]
             tot = total[spl]
-            rows_f = rows[sel.size:].reshape(spl.size, n_try, width)
-            sl = cum[sel.size:, lo - 1:width - lo].reshape(spl.size, n_try, -1)
+            rows = rows[can[sel]]
+            rk = rank[feats[spl][:, :, None] * n + flat_boot[rows][:, None, :]]
+            key = np.where(col < ms[:, None, None], rk, np.int64(n))
+            key <<= 32
+            key |= rows[:, None, :]
+            key.sort(axis=2)
+            rows_f = key & 0xFFFFFFFF
+            # left child sizes p = lo .. width - lo; sorted position p - 1 is
+            # the threshold row
+            sl = np.cumsum(yb[rows_f], axis=2)[:, :, lo - 1:width - lo]
             p = np.arange(lo, width - lo + 1).astype(np.float64)
             tt = tot[:, None, None]
             with np.errstate(all="ignore"):  # columns past a node's end
@@ -176,8 +170,8 @@ def grow_tree(x, y, boot, feat_rand, max_depth, min_leaf, mtry,
                 right_term *= right_term
                 right_term /= ms[:, None, None] - p
                 gains += right_term
-            rk = rank_flat[feats[spl][:, :, None] * n_rows + rows_f[:, :, lo - 1:width - lo + 1]]
-            ok = rk[:, :, 1:] > rk[:, :, :-1]
+            # a threshold must separate two ranks: the keys' high bits differ
+            ok = (key[:, :, lo:width - lo + 1] ^ key[:, :, lo - 1:width - lo]) >= 1 << 32
             ok &= p <= (ms - lo)[:, None, None]
             gains[~ok] = -np.inf
             b = gains.argmax(axis=2)
@@ -210,36 +204,30 @@ def grow_tree(x, y, boot, feat_rand, max_depth, min_leaf, mtry,
         feature[tree, sn] = best_feat[split]
         threshold[tree, sn] = best_thr[split]
         left[tree, sn] = lnode
-        right[tree, sn] = lnode + 1
         ss, se, nl, d1 = s[split], e[split], n_left[split], depth[split] + 1
         sp = top[tree]
         stack[tree, sp] = np.stack((lnode + 1, ss + nl, se, d1), axis=1)
         stack[tree, sp + 1] = np.stack((lnode, ss, ss + nl, d1), axis=1)
         top[tree] += 2
-
-        seg_start, seg_len = start[split], m[split]
-        _partition(order[:1], goes_left, seg_start, seg_len, nl)
-        # only a child that may split again reads the feature layers
-        again = (d1 < max_depth) & (np.maximum(nl, seg_len - nl) >= 2 * min_leaf)
-        _partition(order[1:], goes_left, seg_start[again], seg_len[again], nl[again])
-        goes_left[order[0, _ragged(seg_start, seg_len)]] = False
+        _partition(order, goes_left, start[split], m[split], nl)
 
     tree, node, seg_start, seg_len = (np.concatenate(c) for c in zip(*leaves))
     by_id = np.lexsort((node, tree))
     tree, node, seg_start, seg_len = tree[by_id], node[by_id], seg_start[by_id], seg_len[by_id]
     leaf_count[tree, node] = seg_len
     leaf_start[tree, node] = np.cumsum(seg_len) - seg_len
-    grouped[:] = yb[order[0, _ragged(seg_start, seg_len)]]
+    grouped[:] = yb[order[_ragged(seg_start, seg_len)]]
     return n_nodes
 
 
-def apply_tree(x, features, thresholds, lefts, rights):
-    """Leaf id of every row of ``x`` in every tree: shape (n_trees, n)."""
+def apply_tree(x, features, thresholds, lefts):
+    """Leaf id of every row of ``x`` in every tree: shape (n_trees, n).  A
+    row goes to the left child if its value is at most the threshold, else
+    to the left child + 1 (so a NaN goes right)."""
     n_trees, width = features.shape
     n, k = x.shape
     base = np.arange(n_trees)[:, None] * width
-    feat, thr = features.ravel(), thresholds.ravel()
-    left, right = lefts.ravel(), rights.ravel()
+    feat, thr, left = features.ravel(), thresholds.ravel(), lefts.ravel()
     x_flat = x.ravel()
     row = np.arange(n) * k
     cell = np.repeat(base, n, axis=1)  # flat position of each row's current node
@@ -248,19 +236,18 @@ def apply_tree(x, features, thresholds, lefts, rights):
         inner = f >= 0
         if not inner.any():
             return cell - base
-        go_left = x_flat[row + np.maximum(f, 0)] <= thr[cell]
-        nxt = np.where(go_left, left[cell], right[cell])
+        nxt = left[cell] + ~(x_flat[row + np.maximum(f, 0)] <= thr[cell])
         cell = np.where(inner, base + nxt, cell)
 
 
-def forest_mean(x, features, thresholds, lefts, rights, values):
+def forest_mean(x, features, thresholds, lefts, values):
     """Average of per-tree leaf means, summed in tree order."""
     n_trees = features.shape[0]
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], ROUTE_ROWS):
         chunk = x[lo:lo + ROUTE_ROWS]
-        leaf_values = np.take_along_axis(values, apply_tree(chunk, features, thresholds,
-                                                            lefts, rights), axis=1)
+        leaf_values = np.take_along_axis(values, apply_tree(chunk, features, thresholds, lefts),
+                                         axis=1)
         acc = np.zeros(chunk.shape[0])
         for t in range(n_trees):
             acc += leaf_values[t]
@@ -268,12 +255,12 @@ def forest_mean(x, features, thresholds, lefts, rights, values):
     return out
 
 
-def forest_leaf_matrix(x, features, thresholds, lefts, rights):
+def forest_leaf_matrix(x, features, thresholds, lefts):
     """Per-tree leaf id of every row: shape (n, n_trees)."""
     out = np.empty((x.shape[0], features.shape[0]), np.int32)
     for lo in range(0, x.shape[0], ROUTE_ROWS):
         out[lo:lo + ROUTE_ROWS] = apply_tree(x[lo:lo + ROUTE_ROWS], features, thresholds,
-                                             lefts, rights).T
+                                             lefts).T
     return out
 
 

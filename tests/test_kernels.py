@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attrition_conformal import kernels
+from attrition_conformal import forest, kernels
 from attrition_conformal.forest import MAX_DEPTH, MIN_LEAF, N_TREES, fit_forest
 from attrition_conformal.rng import child_seed, make_rng
 
@@ -181,16 +181,17 @@ def _forest_pooled_quantiles_impl(leaf_mat, grouped_targets, leaf_start, leaf_co
     return lo, hi
 
 
-_ORACLE_FIELDS = ("features", "thresholds", "lefts", "rights", "values",
-                  "grouped_targets", "leaf_start", "leaf_count")
+_ORACLE_FIELDS = ("features", "thresholds", "lefts", "values", "grouped_targets",
+                  "leaf_start", "leaf_count")
 
 
 def _oracle_forest(x, y, seed):
-    """The forest's arrays grown tree by tree with ``_grow_tree_impl``."""
+    """The forest's arrays grown tree by tree with ``_grow_tree_impl``,
+    plus the reference's right children."""
     n, k = x.shape
     mtry = max(1, min(k, int(round(np.sqrt(k) / k * k))))
     max_nodes = 2 ** (MAX_DEPTH + 1)
-    T = N_TREES
+    T = forest.N_TREES
     features = np.full((T, max_nodes), -1, np.int64)
     thresholds = np.zeros((T, max_nodes), np.float64)
     lefts = np.full((T, max_nodes), -1, np.int64)
@@ -221,6 +222,43 @@ def _oracle_forest(x, y, seed):
             "leaf_start": trim(leaf_start, np.int32), "leaf_count": trim(leaf_count, np.int32)}
 
 
+def _assert_matches_oracle(x, y, seed, x_new, levels):
+    """``fit_forest`` equals the per-node oracle bit for bit, and routing,
+    the mean and the pooled quantiles equal their per-tree references."""
+    n, k = x.shape
+    T = forest.N_TREES
+    got = fit_forest(x, y, seed)
+    want = _oracle_forest(x, y, seed)
+    assert got.k == k
+    for name in _ORACLE_FIELDS:
+        a, b = getattr(got, name), want[name]
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        if a.ndim == 1:
+            a, b = a.reshape(T, n), b.reshape(T, n)
+        for t in range(T):
+            assert a[t].tobytes() == b[t].tobytes(), f"{name} differs in tree {t}"
+    # routing reads a split node's right child as its left child + 1
+    inner = want["lefts"] >= 0
+    assert np.array_equal(want["rights"][inner], want["lefts"][inner] + 1)
+
+    # routing all trees at once matches routing tree by tree, and the mean
+    # sums the trees in order
+    leaves = np.stack([_apply_tree_impl(x_new, got.features[t], got.thresholds[t],
+                                        want["lefts"][t], want["rights"][t]) for t in range(T)])
+    want_mean = np.zeros(x_new.shape[0])
+    for t in range(T):
+        want_mean += got.values[t][leaves[t]]
+    assert got.predict_mean(x_new).tobytes() == (want_mean / T).tobytes()
+    assert np.array_equal(kernels.forest_leaf_matrix(x_new, got.features, got.thresholds,
+                                                     got.lefts), leaves.T)
+    # pooled quantiles equal sorting each point's pooled targets; binary y ties
+    q_lo, q_hi = levels
+    want_q = _forest_pooled_quantiles_impl(leaves.T, got.grouped_targets, got.leaf_start,
+                                           got.leaf_count, q_lo, q_hi)
+    for a, b in zip(got.predict_quantiles(x_new, q_lo, q_hi), want_q):
+        assert a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 80), k=st.integers(1, 6), seed=st.integers(0, 2**64 - 1),
        data_seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]),
@@ -238,35 +276,30 @@ def test_fit_forest_matches_per_node_oracle(n, k, seed, data_seed, decimals, dup
     if constant:
         x[:, rng.integers(k)] = 0.5
     y = (rng.random(n) < 0.4).astype(float) if binary else x.sum(axis=1) + rng.standard_normal(n)
-
-    got = fit_forest(x, y, seed)
-    want = _oracle_forest(x, y, seed)
-    assert got.k == k
-    for name in _ORACLE_FIELDS:
-        a, b = getattr(got, name), want[name]
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        if a.ndim == 1:
-            a, b = a.reshape(N_TREES, n), b.reshape(N_TREES, n)
-        for t in range(N_TREES):
-            assert a[t].tobytes() == b[t].tobytes(), f"{name} differs in tree {t}"
-
-    # routing all trees at once matches routing tree by tree, and the mean
-    # sums the trees in order
     x_new = np.concatenate((x, rng.standard_normal((20, k))))
-    leaves = np.stack([_apply_tree_impl(x_new, got.features[t], got.thresholds[t],
-                                        got.lefts[t], got.rights[t]) for t in range(N_TREES)])
-    want_mean = np.zeros(x_new.shape[0])
-    for t in range(N_TREES):
-        want_mean += got.values[t][leaves[t]]
-    assert got.predict_mean(x_new).tobytes() == (want_mean / N_TREES).tobytes()
-    assert np.array_equal(kernels.forest_leaf_matrix(x_new, got.features, got.thresholds,
-                                                     got.lefts, got.rights), leaves.T)
-    # pooled quantiles equal sorting each point's pooled targets; binary y ties
-    q_lo, q_hi = levels
-    want_q = _forest_pooled_quantiles_impl(leaves.T, got.grouped_targets, got.leaf_start,
-                                           got.leaf_count, q_lo, q_hi)
-    for a, b in zip(got.predict_quantiles(x_new, q_lo, q_hi), want_q):
-        assert a.tobytes() == b.tobytes()
+    _assert_matches_oracle(x, y, seed, x_new, levels)
+
+
+@pytest.mark.parametrize("k, binary, trees_per_block",
+                         [(10, False, None), (10, True, None), (11, False, None),
+                          (11, True, None), (10, False, 16)])
+def test_fit_forest_matches_per_node_oracle_at_the_workload_shape(monkeypatch, k, binary,
+                                                                  trees_per_block):
+    """The simulation's forest fits have k = 10 or 11 and up to ~600 rows:
+    nodes wider than 128 rows, several width classes in one step, and root
+    steps that span several scoring batches; one case grows in 3 blocks."""
+    n, n_trees = 600, 40
+    monkeypatch.setattr(forest, "N_TREES", n_trees)
+    n_try = round(np.sqrt(k))
+    assert n_trees * (1 + n_try) * n > kernels._SCORE_CELLS
+    if trees_per_block is not None:
+        monkeypatch.setattr(forest, "BLOCK_ROWS", trees_per_block * n)
+        assert -(-n_trees // trees_per_block) == 3
+    rng = np.random.default_rng(100 + k)
+    x = np.round(rng.standard_normal((n, k)), 1)  # ties
+    y = (rng.random(n) < 0.3).astype(float) if binary else x[:, 0] - x[:, 1] ** 2 + rng.standard_normal(n)
+    x_new = np.concatenate((x[:50], np.round(rng.standard_normal((50, k)), 1)))
+    _assert_matches_oracle(x, y, 7 + k, x_new, (0.025, 0.975))
 
 
 def _toy_data(n=400, k=6, seed=0):
@@ -297,7 +330,7 @@ def test_forest_respects_min_leaf_and_depth():
         # children are numbered after their parent, so one pass gives depths
         depth = np.zeros(f.features.shape[1], np.int64)
         for node in np.flatnonzero(f.lefts[t] >= 0):
-            depth[f.lefts[t][node]] = depth[f.rights[t][node]] = depth[node] + 1
+            depth[f.lefts[t][node]] = depth[f.lefts[t][node] + 1] = depth[node] + 1
         leaves = np.flatnonzero(f.leaf_count[t] > 0)
         assert f.leaf_count[t][leaves].min() >= MIN_LEAF
         deepest = max(deepest, int(depth[leaves].max()))
@@ -321,7 +354,7 @@ def test_one_batch_past_the_routing_chunk_matches_its_pieces():
     pieces = np.array_split(np.arange(xt.shape[0]), 7)  # not aligned with the chunks
     mean = f.predict_mean(xt)
     assert mean.tobytes() == np.concatenate([f.predict_mean(xt[p]) for p in pieces]).tobytes()
-    route = (f.features, f.thresholds, f.lefts, f.rights)
+    route = (f.features, f.thresholds, f.lefts)
     leaves = kernels.forest_leaf_matrix(xt, *route)
     assert np.array_equal(leaves, np.concatenate([kernels.forest_leaf_matrix(xt[p], *route)
                                                   for p in pieces]))
@@ -360,13 +393,13 @@ def test_forest_storage_is_as_wide_as_its_largest_tree():
     x, y = _toy_data(n=25, k=3, seed=5)
     f = fit_forest(x, y, 2)
     node_counts = 1 + 2 * (f.features >= 0).sum(axis=1)
-    for name in ("features", "thresholds", "lefts", "rights", "values",
+    for name in ("features", "thresholds", "lefts", "values",
                  "leaf_start", "leaf_count"):
         assert getattr(f, name).shape == (N_TREES, node_counts.max()), name
-    for name in ("features", "lefts", "rights", "leaf_start", "leaf_count"):
+    for name in ("features", "lefts", "leaf_start", "leaf_count"):
         assert getattr(f, name).dtype == np.int32, name
-    # seven (N_TREES, 2 ** (MAX_DEPTH + 1)) arrays of 8-byte entries: 5.7 MB
-    full_width = 7 * N_TREES * 2 ** (MAX_DEPTH + 1) * 8
+    # six (N_TREES, 2 ** (MAX_DEPTH + 1)) arrays of 8-byte entries: 4.9 MB
+    full_width = 6 * N_TREES * 2 ** (MAX_DEPTH + 1) * 8
     held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
     assert 10 * held <= full_width
 
