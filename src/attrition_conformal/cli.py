@@ -43,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--gamma", type=float, default=0.025)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", required=True)
-    shared.add_argument("--threads", type=int, default=1)
+    shared.add_argument("--threads", type=int, default=1,
+                        help="worker processes that run the replicates (default 1); "
+                             "the reports are the same for any count")
 
     sim = sub.add_parser("simulate", parents=[shared],
                          help="Monte Carlo study on a synthetic DGP")
@@ -109,8 +111,8 @@ def cmd_analyze(args, parser) -> int:
     if ds.n < MIN_ROWS:
         raise DataValidationError(f"{args.data}: {ds.n} data rows, need at least {MIN_ROWS}")
 
-    # replicates run in this process: --threads applies to simulate only
-    replicates = run_replicates(ds, args.method, cfg, args.reps, _attrition_intervals)
+    replicates = run_replicates(ds, args.method, cfg, args.reps, _attrition_intervals,
+                                workers=args.threads)
     intervals = [iv for _, iv, error in replicates if error is None]
     failures = [f"rep {rep}: {error}" for rep, _, error in replicates if error is not None]
 
@@ -124,9 +126,8 @@ def cmd_analyze(args, parser) -> int:
               out / "ate_summary.json")
 
     write_csv(out / "intervals.csv", ["row", "mean_lo", "mean_hi", "finite_reps"],
-              ([int(row), float(lo), float(hi), int(cnt)]
-               for row, lo, hi, cnt in zip(summary.att_idx, summary.mean_lo, summary.mean_hi,
-                                           summary.finite_reps)))
+              zip(summary.att_idx.tolist(), summary.mean_lo.tolist(), summary.mean_hi.tolist(),
+                  summary.finite_reps.tolist()))
     manifest.write(out / "manifest.json")
     print(f"{args.method} on {args.data}: ATEall "
           f"{round(summary.ate_all, 4)} -> {out}")

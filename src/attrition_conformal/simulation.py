@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+import ctypes
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 from scipy.special import betainc, expit, ndtr, ndtri
@@ -226,8 +229,39 @@ def run_method(ds: ExperimentDataset, method: str, cfg: ConformalConfig) -> Cise
     raise ValueError(f"unknown method {method!r}")
 
 
-def _run_one_rep(args) -> tuple:
-    source, method, cfg, summarize, rep = args
+# the thread-count functions (get, set) of the OpenBLAS that numpy 2 and numpy 1 wheels bundle
+_OPENBLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
+
+
+@functools.cache
+def _openblas():
+    """The thread-count functions ``(get, set)`` of the OpenBLAS bundled in
+    numpy's wheel (``numpy.libs``), or None when there is none."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        blas = ctypes.CDLL(str(lib))  # the copy numpy already loaded
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(blas, set_name):
+                get, put = getattr(blas, get_name), getattr(blas, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set numpy's OpenBLAS thread count; return the previous count, or None
+    (and change nothing) when no OpenBLAS is found."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    get, put = blas
+    before = get()
+    put(count)
+    return before
+
+
+def _run_one_rep(source, method: str, cfg: ConformalConfig, summarize, rep: int) -> tuple:
     try:
         draw = None
         if isinstance(source, DgpSpec):
@@ -242,6 +276,19 @@ def _run_one_rep(args) -> tuple:
                 isinstance(exc, InsufficientDataError))
 
 
+_WORKER_JOB = None  # a pool worker's (source, method, cfg, summarize), set once per worker
+
+
+def _start_worker(*job) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+    _set_blas_threads(1)
+
+
+def _worker_rep(rep: int) -> tuple:
+    return _run_one_rep(*_WORKER_JOB, rep)
+
+
 def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summarize,
                    workers: int = 1) -> list:
     """Run ``method`` once per replicate with seeds derived from the rep index.
@@ -254,16 +301,25 @@ def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summari
     Structural data errors and programming errors propagate.  More than 20%
     failed replicates raise :class:`InsufficientDataError` when every failure
     was one, else :class:`RuntimeError`.  ``workers > 1`` runs the
-    replicates in a process pool, so ``summarize`` must then be picklable.
+    replicates in a process pool, so ``summarize`` must then be picklable;
+    each worker receives ``source`` once.  Every replicate runs with numpy's
+    OpenBLAS on one thread, in this process or in a worker, so that the bits
+    do not depend on ``workers``; this process's thread count is restored.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    payloads = [(source, method, cfg, summarize, rep) for rep in range(reps)]
+    workers = min(workers, reps)  # a fork pool starts all its workers at once
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(_run_one_rep, payloads))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(source, method, cfg, summarize)) as pool:
+            out = list(pool.map(_worker_rep, range(reps)))
     else:
-        out = [_run_one_rep(p) for p in payloads]
+        before = _set_blas_threads(1)
+        try:
+            out = [_run_one_rep(source, method, cfg, summarize, rep) for rep in range(reps)]
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
     failed = [(rep, error, few) for rep, _, error, few in out if error is not None]
     if len(failed) > 0.2 * reps:
         kind = InsufficientDataError if all(few for *_, few in failed) else RuntimeError

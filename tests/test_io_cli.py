@@ -255,6 +255,32 @@ def test_cmd_analyze_rerun_byte_identical(tmp_path):
     assert (out1 / "intervals.csv").read_bytes() == (out2 / "intervals.csv").read_bytes()
 
 
+def test_analyze_threads_reach_the_replicate_engine(tmp_path, monkeypatch):
+    # --threads N hands workers=N to run_replicates, and the reports are the same for any N
+    import inspect
+
+    from attrition_conformal import cli
+
+    run_replicates, workers = cli.run_replicates, []
+
+    def spy(*args, **kwargs):
+        workers.append(inspect.signature(run_replicates).bind(*args, **kwargs)
+                       .arguments.get("workers", 1))
+        return run_replicates(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_replicates", spy)
+    data, map_path = tmp_path / "exp.csv", tmp_path / "map.json"
+    mapping = save_csv(generate(DgpSpec(kind="dgp1", n=600, seed=13)).dataset, data)
+    _write_mapping(map_path, mapping.covariate_cols)
+    args = ["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+            "--reps", "3", "--seed", "9"]
+    for threads in ("1", "2"):
+        assert main(args + ["--threads", threads, "--out", str(tmp_path / threads)]) == 0
+    assert workers == [1, 2]
+    for name in ("ate_summary.json", "intervals.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_cmd_report_merges_and_dedups(tmp_path):
     base = ["simulate", "--dgp", "dgp1", "--n", "300", "--reps", "2",
             "--method", "cise", "--learner", "glm", "--alpha", "0.1",

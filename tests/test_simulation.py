@@ -1,14 +1,19 @@
 import math
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.special import expit, ndtri
 
-from attrition_conformal.data import ConformalConfig, ExperimentDataset
+from attrition_conformal import simulation
+from attrition_conformal.data import ConformalConfig, ExperimentDataset, InsufficientDataError
 from attrition_conformal.rng import child_seed
 from attrition_conformal.simulation import (DgpSpec, appendix_e_e_r, compute_metrics,
                                             dgp1_e_d, dgp1_f, dgp2_e_d, dgp2_e_r,
-                                            generate, oracle_interval, run_mc)
+                                            generate, oracle_interval, run_mc,
+                                            run_replicates)
 
 
 def test_dgp_spec_validation():
@@ -243,3 +248,64 @@ def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
     assert report.reps[1].ate_attrition is None
     assert report.aggregate["mean_ate_attrition"] == pytest.approx(
         np.mean([report.reps[i].ate_attrition for i in (0, 3, 4)]))
+
+
+# summarize functions for pool runs live at module level, so that they pickle
+
+
+def _bits_failing_at(fail_rep, rep, draw, result):
+    # a replicate's whole output, as bytes; replicate fail_rep is held back as too little data
+    if rep == fail_rep:
+        raise InsufficientDataError("held back")
+    return (result.att_idx.tobytes(), result.che_lo.tobytes(), result.che_hi.tobytes(),
+            None if draw is None else draw.ite.tobytes())
+
+
+def _blas_threads(rep, draw, result):
+    return simulation._openblas()[0]()
+
+
+def _broken_summary(rep, draw, result):
+    raise TypeError("a bug, not a failed replicate")
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(kind=st.sampled_from(("dgp1", "dgp2", "appendixE")),
+       method=st.sampled_from(("cise", "wcqr_nested_exact")),
+       seed=st.integers(0, 2**32 - 1), fail_rep=st.integers(0, 4))
+def test_run_replicates_same_output_for_one_and_two_workers(kind, method, seed, fail_rep):
+    # bitwise, for a drawn and for a fixed source, with one replicate failing within budget
+    spec = DgpSpec(kind=kind, n=300, seed=seed)
+    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=seed)
+    summarize = functools.partial(_bits_failing_at, fail_rep)
+    for source in (spec, generate(spec).dataset):
+        serial = run_replicates(source, method, cfg, reps=5, summarize=summarize, workers=1)
+        pooled = run_replicates(source, method, cfg, reps=5, summarize=summarize, workers=2)
+        assert pooled == serial
+        assert [error for _, _, error in serial].count("InsufficientDataError: held back") == 1
+
+
+def test_replicates_run_on_one_blas_thread_and_keep_the_callers_count():
+    blas = simulation._openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, put = blas
+    before = get()
+    put(2)
+    try:
+        for workers in (1, 2):
+            out = run_replicates(DgpSpec(kind="dgp1", n=200, seed=1), "cise",
+                                 ConformalConfig(seed=1), reps=2, summarize=_blas_threads,
+                                 workers=workers)
+            assert [value for _, value, _ in out] == [1, 1]
+            assert get() == 2
+    finally:
+        put(before)
+
+
+def test_programming_error_in_a_worker_escapes():
+    # a TypeError in a pool worker is raised as one, not counted as a failed replicate
+    ds = generate(DgpSpec(kind="dgp1", n=200, seed=2)).dataset
+    with pytest.raises(TypeError, match="a bug"):
+        run_replicates(ds, "cise", ConformalConfig(seed=2), reps=3, summarize=_broken_summary,
+                       workers=2)
