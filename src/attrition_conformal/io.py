@@ -73,7 +73,7 @@ class ColumnMapping:
 def read_json_object(path) -> dict:
     """Parse a JSON file holding one object; malformed JSON or another top-level
     value is a :class:`DataValidationError` naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -113,16 +113,19 @@ def _data_rows(fh, mapping: ColumnMapping) -> csv.DictReader:
 def _parse_arrays(fh, header: list, mapping: ColumnMapping) -> tuple | None:
     """(x, d, r, y) from the data rows left in ``fh``, parsed as arrays.
 
-    None when a mapped field does not parse as a float, an unmapped one is
-    quoted, a row's field count differs from the header's, or there is no
-    data row: the row loop then loads the file or names the offending row
-    and column.  Where this succeeds, every mapped token is one the row loop
-    reads to the same bits; an unmapped field is copied as its first character.
+    None when a mapped field does not parse as a float, a row's field count
+    differs from the header's, or there is no data row: the row loop then
+    loads the file or names the offending row and column.  Fields are quoted
+    as ``csv`` quotes them.  Where this succeeds, every mapped token is one
+    the row loop reads to the same bits; an unmapped field is copied as its
+    first character.
     """
     import warnings
 
     na_tokens = mapping.na_tokens
     col = header.index
+    converters = {col(mapping.outcome_col):
+                  lambda tok: math.nan if tok in na_tokens else float(tok)}
     mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
               *mapping.covariate_cols)
     # one field per header position, so that unmapped columns sharing a name are covered
@@ -130,12 +133,11 @@ def _parse_arrays(fh, header: list, mapping: ColumnMapping) -> tuple | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on a file without data rows
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype, converters={
-                col(mapping.outcome_col): lambda tok: math.nan if tok in na_tokens else float(tok)})
+            arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                             dtype=dtype, converters=converters)
     except ValueError:
         return None
-    # csv reads a field opening with a quote as one, delimiters and all
-    if arr.shape[0] == 0 or any((arr[f] == '"').any() for f in dtype.names if dtype[f].kind == "U"):
+    if arr.shape[0] == 0:
         return None
     # np.stack copies x C-ordered (the fits' last digits follow the layout),
     # and every array is a copy, so none keeps arr alive once this returns
@@ -165,7 +167,7 @@ def _parse_rows(reader: csv.DictReader, mapping: ColumnMapping) -> tuple:
 
 
 def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
-    """Parse a header-bearing CSV into a dataset.
+    """Parse a header-bearing CSV, after a UTF-8 byte-order mark if any, into a dataset.
 
     An outcome that is one of the mapping's NA tokens reads as NaN.  The
     data rows are parsed as arrays; a file that does not parse that way is
@@ -178,10 +180,10 @@ def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             arrays = _parse_arrays(fh, _data_rows(fh, mapping).fieldnames, mapping)
         if arrays is None:
-            with path.open(newline="", encoding="utf-8") as fh:
+            with path.open(newline="", encoding="utf-8-sig") as fh:
                 arrays = _parse_rows(_data_rows(fh, mapping), mapping)
         return ExperimentDataset(*arrays)
     except DataValidationError as exc:

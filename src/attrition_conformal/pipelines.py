@@ -18,6 +18,17 @@ from .learners import (MeanModel, fit_conditional_cdf, fit_mean,
 from .rng import make_rng, run_stream_seed, stream_seed
 
 
+def _fit(cfg: ConformalConfig, stream: str, fit, *data, seed_of=stream_seed):
+    """``fit`` on ``data`` with the run's learner, seeded by the named stream."""
+    return fit(*data, cfg.learner, seed_of(cfg.seed, stream))
+
+
+def _halves(cfg: ConformalConfig, stream: str, rows: np.ndarray) -> tuple:
+    """``rows`` shuffled on the named stream, cut at half."""
+    perm = rows[make_rng(stream_seed(cfg.seed, stream)).permutation(rows.size)]
+    return perm[:rows.size // 2], perm[rows.size // 2:]
+
+
 def _with_treatment(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.column_stack([x, d.astype(np.float64)])
 
@@ -90,11 +101,10 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
             if _arm_rows(ds, fold, arm).size == 0:
                 raise InsufficientDataError(f"empty arm {arm} in {name} fold")
 
-    e_d_model = fit_propensity(ds.x[plan.pretrain], ds.d[plan.pretrain], cfg.learner,
-                               stream_seed(cfg.seed, "treatment_propensity"))
-    e_r_model = fit_propensity(_with_treatment(ds.x[plan.pretrain], ds.d[plan.pretrain]),
-                               ds.r[plan.pretrain], cfg.learner,
-                               stream_seed(cfg.seed, "response_propensity"))
+    pre = plan.pretrain
+    e_d_model = _fit(cfg, "treatment_propensity", fit_propensity, ds.x[pre], ds.d[pre])
+    e_r_model = _fit(cfg, "response_propensity", fit_propensity,
+                     _with_treatment(ds.x[pre], ds.d[pre]), ds.r[pre])
     cal = plan.calibration
     e_d = e_d_model.predict_proba(ds.x[cal])
     pi_d = e_d / (1.0 - e_d)
@@ -106,9 +116,8 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
     q_models, eta_solutions = {}, {}
     for arm in (1, 0):
         rows = _arm_rows(ds, plan.pretrain, arm)
-        q = q_models[arm] = fit_quantile_pair(ds.x[rows], ds.y[rows], cfg.alpha / 2.0,
-                                              1.0 - cfg.alpha / 2.0, cfg.learner,
-                                              stream_seed(cfg.seed, f"quantile_pair_{arm}"))
+        q = q_models[arm] = _fit(cfg, f"quantile_pair_{arm}", fit_quantile_pair, ds.x[rows],
+                                 ds.y[rows], cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
         tr1 = _arm_rows(ds, plan.train1, arm)
         tr2 = _arm_rows(ds, plan.train2, arm)
         own = (ds.r[cal] == 1) & (ds.d[cal] == arm)
@@ -116,8 +125,8 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         v_tr2 = cqr_score(ds.y[tr2], *q.predict(ds.x[tr2]))
         v_cal = np.full(cal.size, np.nan)  # NaN off the arm's observed rows
         v_cal[own] = cqr_score(ds.y[cal[own]], *q.predict(ds.x[cal[own]]))
-        m_model = fit_conditional_cdf(ds.x[tr2], v_tr2, initial_eta(v_tr1, 1.0 - cfg.alpha),
-                                      cfg.learner, stream_seed(cfg.seed, f"cdf_{arm}"))
+        m_model = _fit(cfg, f"cdf_{arm}", fit_conditional_cdf, ds.x[tr2], v_tr2,
+                       initial_eta(v_tr1, 1.0 - cfg.alpha))
         # The frozen CDF surrogate sits at its target level by construction,
         # so its sampling noise alone can push the moment's ceiling below
         # zero and degenerate the root to +inf; flooring at the target level
@@ -169,8 +178,8 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     def fit_endpoints(pos: np.ndarray, lo_stream: str, hi_stream: str) -> tuple:
         pos = pos[finite[pos]]
         x = ds.x[state.cal_obs_idx[pos]]
-        return (fit_mean(x, lo[pos], cfg.learner, stream_seed(cfg.seed, lo_stream)),
-                fit_mean(x, hi[pos], cfg.learner, stream_seed(cfg.seed, hi_stream)))
+        return (_fit(cfg, lo_stream, fit_mean, x, lo[pos]),
+                _fit(cfg, hi_stream, fit_mean, x, hi[pos]))
 
     def scores(endpoints: tuple, pos: np.ndarray) -> np.ndarray:
         x = ds.x[state.cal_obs_idx[pos]]
@@ -188,24 +197,22 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     # step2_cal: r / pi is right only while the two folds' counts differ by
     # at most one row, as STEP2_TRAIN_FRAC = 0.5 makes them.
     pi_rows = np.concatenate([obstr, att])
-    pi_model = fit_propensity(_with_treatment(ds.x[pi_rows], ds.d[pi_rows]),
-                              ds.r[pi_rows], cfg.learner,
-                              stream_seed(cfg.seed, "step2_response_propensity"))
+    pi_model = _fit(cfg, "step2_response_propensity", fit_propensity,
+                    _with_treatment(ds.x[pi_rows], ds.d[pi_rows]), ds.r[pi_rows])
 
     # The localized CDF needs out-of-sample scores: endpoint models evaluated
     # on their own fitting rows understate the nonconformity, which drags the
     # initial threshold (and with it the whole moment) below its target.
     # Cross-fit the endpoint models across two halves of the training fold.
     v_tr = np.full(obstr.size, np.nan)
-    perm = make_rng(stream_seed(cfg.seed, "crossfit_halves")).permutation(obstr.size)
-    halves = (perm[:obstr.size // 2], perm[obstr.size // 2:])
+    halves = _halves(cfg, "crossfit_halves", np.arange(obstr.size))
     for a, b in ((0, 1), (1, 0)):
         v_tr[halves[b]] = scores(fit_endpoints(tr_pos[halves[a]], f"crossfit_lo_{a}",
                                                f"crossfit_hi_{a}"), tr_pos[halves[b]])
     eta_init_c = initial_eta(v_tr[np.isfinite(v_tr)], 1.0 - cfg.gamma)
 
-    m_c = fit_conditional_cdf(_with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, eta_init_c,
-                              cfg.learner, stream_seed(cfg.seed, "step2_cdf"))
+    m_c = _fit(cfg, "step2_cdf", fit_conditional_cdf,
+               _with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, eta_init_c)
 
     solve_rows = np.concatenate([obsca, att])
     v_solve = np.full(solve_rows.size, np.nan)
@@ -244,27 +251,21 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
     obs = np.flatnonzero(ds.r == 1)
     att = np.flatnonzero(ds.r == 0)
 
-    order = obs[make_rng(stream_seed(cfg.seed, "baseline_halves")).permutation(obs.size)]
-    half = order.size // 2
-    z1, z2 = order[:half], order[half:]
+    z1, z2 = _halves(cfg, "baseline_halves", obs)
     for arm in (0, 1):  # an arm's quantile pair is fitted on half its z1 rows and needs 4
         if (ds.d[z1] == arm).sum() < 8 or (ds.d[z2] == arm).sum() < 1:
             raise InsufficientDataError(f"too few arm-{arm} rows in the baseline folds "
                                         "(z1 needs 8, z2 needs 1)")
 
-    e_d_model = fit_propensity(ds.x[z1], ds.d[z1], cfg.learner,
-                               stream_seed(cfg.seed, "baseline_propensity"))
+    e_d_model = _fit(cfg, "baseline_propensity", fit_propensity, ds.x[z1], ds.d[z1])
 
     c_cf_lo, c_cf_hi = np.empty(z2.size), np.empty(z2.size)
     for arm in (0, 1):
         # counterfactual arm cf = 1 - arm, fitted on z1 rows observed in cf
         cf = 1 - arm
-        src = z1[ds.d[z1] == cf]
-        rng_arm = make_rng(stream_seed(cfg.seed, f"baseline_cqr_split_{arm}"))
-        perm = src[rng_arm.permutation(src.size)]
-        tr, ca = perm[:perm.size // 2], perm[perm.size // 2:]
-        qp = fit_quantile_pair(ds.x[tr], ds.y[tr], cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0,
-                               cfg.learner, stream_seed(cfg.seed, f"baseline_cqr_{arm}"))
+        tr, ca = _halves(cfg, f"baseline_cqr_split_{arm}", z1[ds.d[z1] == cf])
+        qp = _fit(cfg, f"baseline_cqr_{arm}", fit_quantile_pair, ds.x[tr], ds.y[tr],
+                  cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
 
         def shift_odds(rows):  # covariate shift from arm cf to arm: P(D = arm | x) / P(D = cf | x)
             p = e_d_model.predict_proba(ds.x[rows])
@@ -291,21 +292,16 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
     fz, flo, fhi = z2[finite], c_ite_lo[finite], c_ite_hi[finite]
     if exact:
         # endpoint models on one half of the finite rows, calibrated on the other
-        perm = make_rng(stream_seed(cfg.seed, "exact_endpoint_split")).permutation(fz.size)
-        tr, ca = perm[:fz.size // 2], perm[fz.size // 2:]
-        h_lo = fit_mean(ds.x[fz[tr]], flo[tr], cfg.learner,
-                        stream_seed(cfg.seed, "exact_endpoint_lo"))
-        h_hi = fit_mean(ds.x[fz[tr]], fhi[tr], cfg.learner,
-                        stream_seed(cfg.seed, "exact_endpoint_hi"))
+        tr, ca = _halves(cfg, "exact_endpoint_split", np.arange(fz.size))
+        h_lo = _fit(cfg, "exact_endpoint_lo", fit_mean, ds.x[fz[tr]], flo[tr])
+        h_hi = _fit(cfg, "exact_endpoint_hi", fit_mean, ds.x[fz[tr]], fhi[tr])
         band = unweighted_interval_conformal_batch(h_lo, h_hi, ds.x[fz[ca]], flo[ca], fhi[ca],
                                                    ds.x[att], cfg.gamma)
         if band.uninformative.any():
             result.flags.append("baseline eta_gamma is infinite; attrition intervals unbounded")
         return replace(result, che_lo=band.lo, che_hi=band.hi, eta_gamma=float(band.eta[0]))
-    q_lo = fit_quantile(ds.x[fz], flo, cfg.gamma / 2.0, cfg.learner,
-                        stream_seed(cfg.seed, "inexact_endpoint_lo"))
-    q_hi = fit_quantile(ds.x[fz], fhi, 1.0 - cfg.gamma / 2.0, cfg.learner,
-                        stream_seed(cfg.seed, "inexact_endpoint_hi"))
+    q_lo = _fit(cfg, "inexact_endpoint_lo", fit_quantile, ds.x[fz], flo, cfg.gamma / 2.0)
+    q_hi = _fit(cfg, "inexact_endpoint_hi", fit_quantile, ds.x[fz], fhi, 1.0 - cfg.gamma / 2.0)
     che_lo, che_hi = repair_crossing(q_lo.predict(ds.x[att]), q_hi.predict(ds.x[att]))
     return replace(result, che_lo=che_lo, che_hi=che_hi, eta_gamma=0.0)
 
@@ -322,10 +318,10 @@ def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
     under the run seed."""
     _require_both_arms(ds)
     obs = np.flatnonzero(ds.r == 1)
-    e_d_model = fit_propensity(ds.x, ds.d, cfg.learner,
-                               run_stream_seed(cfg.seed, "treatment_propensity"))
-    e_r_model = fit_propensity(_with_treatment(ds.x, ds.d), ds.r, cfg.learner,
-                               run_stream_seed(cfg.seed, "response_propensity"))
+    e_d_model = _fit(cfg, "treatment_propensity", fit_propensity, ds.x, ds.d,
+                     seed_of=run_stream_seed)
+    e_r_model = _fit(cfg, "response_propensity", fit_propensity, _with_treatment(ds.x, ds.d),
+                     ds.r, seed_of=run_stream_seed)
 
     x_obs = ds.x[obs]
     d_obs = ds.d[obs]

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -163,7 +164,8 @@ _NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                     st.sampled_from(["+1.", ".5", "1e5", "-0.0", "1_0", "0.1000000000000000055511"]))
 _ODD_TOKEN = st.sampled_from(["inf", "-inf", "nan", "Infinity", "NA", " NA", "NA ", "", "  ",
                               " 1.5 ", '"1.5"', '"NA"', '"a,b"', "0x10", "abc", "0.5", "2",
-                              "١", "1 ", "-nan"])
+                              "١", "1 ", "-nan",
+                              '"', ' "1"', '"1"5', '"a""b"', 'a"b'])
 
 
 @st.composite
@@ -232,12 +234,13 @@ def test_clean_csv_is_parsed_as_arrays(tmp_path):
 
 @pytest.mark.parametrize("header, row", [("id,{}", "u{},{}"),
                                          ("id,id,{},id", "u{0},u{0},{1},u{0}"),
-                                         ("{},z,k", "{1},{0}.25,{0}")],
-                         ids=["leading id", "id repeated", "numeric"])
+                                         ("{},z,k", "{1},{0}.25,{0}"),
+                                         ('"id",{}', '"u,""{}""",{}')],
+                         ids=["leading id", "id repeated", "numeric", "quoted id"])
 def test_unmapped_columns_are_parsed_as_arrays(tmp_path, header, row):
     # a string ID column the mapping does not name keeps the array path, and
-    # the dataset is the row loop's; repeated unmapped names and numeric
-    # unmapped columns are covered too
+    # the dataset is the row loop's; repeated unmapped names, numeric
+    # unmapped columns and quoted IDs holding the delimiter are covered too
     plain = tmp_path / "plain.csv"
     mapping = save_csv(generate(DgpSpec(kind="dgp2", n=200, seed=3)).dataset, plain)
     head, *rows = plain.read_text(encoding="utf-8").splitlines()
@@ -260,6 +263,24 @@ def test_quoted_unmapped_field_is_left_to_the_row_loop(tmp_path):
     path.write_text('id,s,x1,x2,d,r,y\n"a,b",0.5,1.0,1,1,2.5\n')
     with pytest.raises(DataValidationError, match="no value in column 'y' at data row 0"):
         load_csv(path, _CSV2_MAPPING)
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    mapping = save_csv(generate(DgpSpec(kind="dgp2", n=200, seed=3)).dataset, plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    map_path = tmp_path / "map.json"
+    map_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+        {"outcome": "y", "treatment": "d", "response": "r",
+         "covariates": list(mapping.covariate_cols)}).encode("utf-8"))
+    assert ColumnMapping.from_json(map_path) == mapping
+    with mock.patch.object(io, "_parse_rows", side_effect=AssertionError("row loop ran")):
+        fast = load_csv(bom, mapping)
+    expected = load_csv(plain, mapping)
+    for name in ("x", "d", "r", "y"):
+        a, b = getattr(fast, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_token_only_float_reads_loads_through_the_row_loop(tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from attrition_conformal import pipelines
+from attrition_conformal import pipelines, rng
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, InsufficientDataError, make_splits)
 from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
@@ -342,6 +342,52 @@ def test_ipw_fits_its_propensities_on_their_own_streams():
     assert len(seeds) == 2 and seeds[0] != seeds[1]
     replicate_seeds = {cfg.seed, *(child_seed(cfg.seed, r) for r in range(2000))}
     assert not replicate_seeds & set(seeds)
+
+
+def test_every_stream_is_read_once_through_the_two_helpers(monkeypatch):
+    # _fit derives every fit seed and _halves every shuffle; with make_splits'
+    # two fold streams the pipelines read each named stream, none twice in a run
+    ds, _ = _linear_draw(seed=61)
+    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
+    fit, halves, fit_propensity = pipelines._fit, pipelines._halves, pipelines.fit_propensity
+    reads, propensity_fits = [], []
+
+    def record_fit(cfg, stream, fit_fn, *data, seed_of=rng.stream_seed):
+        reads.append((stream, seed_of))
+        return fit(cfg, stream, fit_fn, *data, seed_of=seed_of)
+
+    def record_halves(cfg, stream, rows):
+        reads.append((stream, rng.stream_seed))
+        return halves(cfg, stream, rows)
+
+    def counting_fit_propensity(*args):
+        propensity_fits.append(args[-1])
+        return fit_propensity(*args)
+
+    monkeypatch.setattr(pipelines, "_fit", record_fit)
+    monkeypatch.setattr(pipelines, "_halves", record_halves)
+    # the tracer rebinds fits by module attribute, so call sites look them up at call time
+    monkeypatch.setattr(pipelines, "fit_propensity", counting_fit_propensity)
+
+    def streams(run) -> set:
+        reads.clear()
+        run()
+        names = [name for name, _ in reads]
+        assert len(names) == len(set(names))
+        assert all(seed_of is rng.stream_seed for _, seed_of in reads)
+        return set(names)
+
+    cise = streams(lambda: run_cise(ds, cfg))
+    exact = streams(lambda: wcqr_nested_baseline(ds, cfg, exact=True))
+    inexact = streams(lambda: wcqr_nested_baseline(ds, cfg, exact=False))
+    assert (len(cise), len(exact), len(inexact)) == (15, 9, 8)
+    assert cise | exact | inexact | {"folds", "step2_folds"} == set(rng.STREAMS)
+
+    reads.clear()
+    ipw_ate(ds, cfg)
+    assert reads == [("treatment_propensity", rng.run_stream_seed),
+                     ("response_propensity", rng.run_stream_seed)]
+    assert len(propensity_fits) == 3 + 1 + 1 + 2
 
 
 def test_attrition_intervals_never_cross():

@@ -3,7 +3,7 @@
     PYTHONPATH=<checkout>/src python tools/report_grid.py OUT
 
 runs the package CLI (whichever ``attrition_conformal`` is on the path)
-over a fixed set of 24 commands and writes 51 files under OUT besides the run
+over a fixed set of 25 commands and writes 54 files under OUT besides the run
 manifests:
 
 - ``simulate`` on dgp1, dgp2 and appendixE with each method, glm, n=400,
@@ -16,8 +16,9 @@ manifests:
 - ``analyze`` of a 600-row DGP1 CSV with each method using glm (3 reps) and
   using random_forest (2 reps), plus the CSV and its mapping file;
 - the glm cise ``analyze`` cell once more on the same CSV with a leading
-  string ``id`` column, which the mapping does not name, and once more with
-  ``--threads 2``; the tool exits non-zero unless each one's
+  string ``id`` column, which the mapping does not name, once more on that
+  CSV written R-style, with every header name and every ``id`` quoted, and
+  once more with ``--threads 2``; the tool exits non-zero unless each one's
   ``ate_summary.json`` and ``intervals.csv`` are byte-equal to the plain
   cell's;
 - ``report`` over the nine one-worker glm ``simulate`` cells of the first item.
@@ -92,15 +93,21 @@ def build_grid(out: Path) -> None:
     ids = data_dir / "data_ids.csv"
     ids.write_text("\n".join([f"id,{head}", *(f"u{i},{row}" for i, row in enumerate(rows))])
                    + "\n", encoding="utf-8")
+    quoted = data_dir / "data_quoted.csv"
+    quoted.write_text("\n".join([",".join(f'"{name}"' for name in ["id", *head.split(",")]),
+                                 *(f'"u{i}",{row}' for i, row in enumerate(rows))]) + "\n",
+                      encoding="utf-8")
     analyses = ([(data, m, "glm", 3, 1, f"{m}_glm") for m in METHODS]
                 + [(data, m, "random_forest", 2, 1, f"{m}_random_forest") for m in METHODS]
                 + [(ids, "cise", "glm", 3, 1, "cise_glm_ids"),
+                   (quoted, "cise", "glm", 3, 1, "cise_glm_quoted"),
                    (data, "cise", "glm", 3, 2, "cise_glm_threads2")])
     for csv_path, method, learner, reps, threads, cell in analyses:
         _run(["analyze", "--data", str(csv_path), "--map", str(map_path), "--method", method,
               "--learner", learner, "--reps", str(reps), "--seed", str(SEED), *LEVELS,
               "--threads", str(threads), "--out", str(data_dir / cell)])
     for cell, what in (("cise_glm_ids", "the CSV with and without an id column"),
+                       ("cise_glm_quoted", "the CSV plain and written with quotes"),
                        ("cise_glm_threads2", "analyze --threads 1 and --threads 2")):
         _require_equal(data_dir / "cise_glm", data_dir / cell,
                        ("ate_summary.json", "intervals.csv"), what)
