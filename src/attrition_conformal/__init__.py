@@ -8,9 +8,8 @@ attrited units.  A weighted-CQR nested baseline, IPW estimation, synthetic
 benchmark generators, and a CLI round out the toolkit.
 """
 
-from .conformal import (ScoreSet, cqr_score, interval_score,
-                        unweighted_interval_conformal_batch, weighted_quantile,
-                        weighted_split_cqr_batch)
+from .conformal import (cqr_score, interval_score, unweighted_interval_conformal_batch,
+                        weighted_quantile, weighted_split_cqr_batch)
 from .data import (LEARNERS, ConformalConfig, DataValidationError, ExperimentDataset,
                    InsufficientDataError, SplitPlan, make_splits)
 from .eif import (EtaSolution, PsiTerms, counterfactual_terms, extrapolation_terms,

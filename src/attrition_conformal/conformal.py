@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -33,34 +33,6 @@ def interval_score(c_lo, c_hi, h_lo, h_hi):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Calibration scores with optional weights and the test weight mass.
-
-    Empty ``weights`` selects the unweighted rule, where the test point
-    contributes one extra unit mass.  ``test_weight`` may be an array with
-    one mass per test point.
-    """
-
-    scores: np.ndarray
-    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
-    test_weight: float | np.ndarray = 1.0
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.size and weights.shape != scores.shape:
-            raise ValueError("weights must match scores in length")
-        if np.any(~np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        if weights.size and (np.any(~np.isfinite(weights)) or np.any(weights < 0)):
-            raise ValueError("weights must be finite and nonnegative")
-        if not np.all(np.asarray(self.test_weight) >= 0):
-            raise ValueError("test_weight must be nonnegative")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "weights", weights)
-
-
 def _order_rank(level: float, n: int) -> int:
     """ceil(level * (n + 1)), the split-conformal rank among n scores (Lei &
     Candes, 2021); it exceeds n when the level asks for more than the sample."""
@@ -69,32 +41,44 @@ def _order_rank(level: float, n: int) -> int:
 
 def unweighted_quantile(scores: np.ndarray, level: float) -> float:
     """The :func:`_order_rank`-th order statistic, or +inf past the sample."""
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie in (0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    k = _order_rank(level, n)
-    return math.inf if n == 0 or k > n else float(np.sort(scores)[k - 1])
+    k = _order_rank(level, scores.size)
+    return math.inf if k > scores.size else float(np.sort(scores)[k - 1])
 
 
-def weighted_quantile(ss: ScoreSet, level: float) -> float | np.ndarray:
+def weighted_quantile(scores, weights, test_weight, level: float) -> float | np.ndarray:
     """Quantile of the weighted score distribution with an infinity atom.
 
     Normalizes p_i = w_i / (sum w + test_weight) and puts the remaining mass
     p_inf at +inf; returns the smallest score whose cumulative mass reaches
     ``level``, or +inf when only the infinity atom does.  Ties take the
-    smallest qualifying score.  An array of test weights gives an array with
-    one quantile per weight.
+    smallest qualifying score.  Needs at least one finite score, one finite
+    nonnegative weight per score and a nonnegative test weight; an array of
+    test weights gives an array with one quantile per weight.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    if ss.weights.size == 0:  # empty scores included
-        q = unweighted_quantile(ss.scores, level)
-        return q if np.ndim(ss.test_weight) == 0 else np.full(np.shape(ss.test_weight), q)
-    order = np.argsort(ss.scores, kind="stable")
-    sorted_scores, cum_w = ss.scores[order], np.cumsum(ss.weights[order])
-    total = cum_w[-1] + np.asarray(ss.test_weight, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    test_weight = np.asarray(test_weight, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("weighted_quantile needs at least one score")
+    if weights.shape != scores.shape:
+        raise ValueError("weights must match scores in length")
+    if np.any(~np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    if np.any(~np.isfinite(weights)) or np.any(weights < 0):
+        raise ValueError("weights must be finite and nonnegative")
+    if not np.all(test_weight >= 0):
+        raise ValueError("test_weight must be nonnegative")
+    order = np.argsort(scores, kind="stable")
+    cum_w = np.cumsum(weights[order])
+    total = cum_w[-1] + test_weight
     hit = np.searchsorted(cum_w, level * total - _CUM_EPS * total, side="left")
-    n = sorted_scores.size
-    q = np.where((hit < n) & (total > 0), sorted_scores[np.minimum(hit, n - 1)], math.inf)
+    n = scores.size
+    q = np.where((hit < n) & (total > 0), scores[order[np.minimum(hit, n - 1)]], math.inf)
     return float(q) if q.ndim == 0 else q
 
 
@@ -116,21 +100,20 @@ class CalibratedBand:
     lo: np.ndarray
     hi: np.ndarray
     eta: np.ndarray
-    uninformative: np.ndarray  # True where eta = +inf
+    uninformative: np.ndarray  # True where the quantile is +inf; weighted CQR caps eta there
 
 
-def weighted_split_cqr_batch(qp, cal_x, cal_y, x_test, level: float, w_cal, w_test,
-                             cap_at_max: bool = False) -> CalibratedBand:
+def weighted_split_cqr_batch(qp, cal_x, cal_y, x_test, level: float, w_cal,
+                             w_test) -> CalibratedBand:
     """Weighted split CQR for a batch of test points.
 
     Scores the calibration rows against the fitted (level/2, 1 - level/2)
     quantile pair ``qp`` and calibrates each test point with the weighted
     score quantile at 1 - level: calibration row i carries ``w_cal[i]`` and
-    test point j enters as the infinity atom of mass ``w_test[j]``.  eta =
-    +inf yields (-inf, +inf), flagged uninformative; with ``cap_at_max`` an
-    unreachable quantile falls back to the largest calibration score instead
-    (still flagged), trading the finite-sample guarantee for a finite, very
-    wide interval.
+    test point j enters as the infinity atom of mass ``w_test[j]``.  Where
+    that quantile is +inf, eta falls back to the largest calibration score
+    and the point is flagged uninformative: a finite, very wide interval
+    without the finite-sample guarantee.
     """
     scores = cqr_score(cal_y, *qp.predict(cal_x))
     w_cal = np.asarray(w_cal, dtype=np.float64)
@@ -139,10 +122,9 @@ def weighted_split_cqr_batch(qp, cal_x, cal_y, x_test, level: float, w_cal, w_te
         raise ValueError("weights must be finite and positive")
 
     t_lo, t_hi = qp.predict(x_test)
-    eta = weighted_quantile(ScoreSet(scores, w_cal, w_test), 1.0 - level)
+    eta = weighted_quantile(scores, w_cal, w_test, 1.0 - level)
     uninformative = ~np.isfinite(eta)
-    if cap_at_max:
-        eta = np.where(uninformative, scores.max(), eta)
+    eta = np.where(uninformative, scores.max(), eta)
     lo, hi = expand_interval(t_lo, t_hi, eta)
     return CalibratedBand(lo=lo, hi=hi, eta=eta, uninformative=uninformative)
 

@@ -256,12 +256,8 @@ def forest_mean(x, features, thresholds, lefts, values):
 
 
 def forest_leaf_matrix(x, features, thresholds, lefts):
-    """Per-tree leaf id of every row: shape (n, n_trees)."""
-    out = np.empty((x.shape[0], features.shape[0]), np.int32)
-    for lo in range(0, x.shape[0], ROUTE_ROWS):
-        out[lo:lo + ROUTE_ROWS] = apply_tree(x[lo:lo + ROUTE_ROWS], features, thresholds,
-                                             lefts).T
-    return out
+    """Per-tree leaf id of every row: shape (n, n_trees); the caller chunks the rows."""
+    return np.ascontiguousarray(apply_tree(x, features, thresholds, lefts).T, np.int32)
 
 
 def forest_pooled_quantiles(leaf_mat, grouped_targets, leaf_start, leaf_count, q_lo, q_hi):

@@ -272,10 +272,8 @@ def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
             return p / (1.0 - p) if cf == 0 else (1.0 - p) / p
 
         sel = ds.d[z2] == arm
-        # unreachable weighted quantiles fall back to the largest score so
-        # the baseline keeps producing (very wide) finite intervals
         band = weighted_split_cqr_batch(qp, ds.x[ca], ds.y[ca], ds.x[z2[sel]], cfg.alpha,
-                                        shift_odds(ca), shift_odds(z2[sel]), cap_at_max=True)
+                                        shift_odds(ca), shift_odds(z2[sel]))
         if band.uninformative.any():
             flags.append(f"{int(band.uninformative.sum())} capped counterfactual intervals (arm {cf})")
         c_cf_lo[sel], c_cf_hi[sel] = band.lo, band.hi

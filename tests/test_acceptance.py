@@ -14,7 +14,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from attrition_conformal.cli import main as cli_main
-from attrition_conformal.conformal import ScoreSet, weighted_quantile, weighted_split_cqr_batch
+from attrition_conformal.conformal import weighted_quantile, weighted_split_cqr_batch
 from attrition_conformal.data import ConformalConfig, ExperimentDataset
 from attrition_conformal.eif import (counterfactual_terms, extrapolation_terms, psi_eval,
                                      solve_smallest_eta)
@@ -277,7 +277,7 @@ def test_criterion_8_solver_exactness():
         weights = rng.random(n) * 2
         tw = float(rng.random() * 2)
         level = float(rng.uniform(0.05, 0.99))
-        got = weighted_quantile(ScoreSet(scores, weights, tw), level)
+        got = weighted_quantile(scores, weights, tw, level)
         if got != enumeration(scores, weights, tw, level):
             quantile_mismatches += 1
 

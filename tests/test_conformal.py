@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
-from attrition_conformal.conformal import (_CUM_EPS, ScoreSet, cqr_score,
+from attrition_conformal.conformal import (_CUM_EPS, cqr_score,
                                            expand_interval, interval_score,
                                            unweighted_interval_conformal_batch,
                                            unweighted_quantile, weighted_quantile,
@@ -71,18 +71,21 @@ def test_expand_interval_negative_eta_keeps_ends_in_order():
 
 def test_weighted_quantile_enumerated_masses():
     # scores [1,2,3], equal weights and test weight: masses 1/4 each
-    ss = ScoreSet(scores=np.array([1.0, 2.0, 3.0]), weights=np.ones(3), test_weight=1.0)
-    assert weighted_quantile(ss, 0.5) == 2.0   # cumulative 0.25, 0.50
-    assert weighted_quantile(ss, 0.9) == math.inf  # cumulative tops out at 0.75
-    assert weighted_quantile(ss, 0.25) == 1.0
+    scores, weights = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    assert weighted_quantile(scores, weights, 1.0, 0.5) == 2.0   # cumulative 0.25, 0.50
+    assert weighted_quantile(scores, weights, 1.0, 0.9) == math.inf  # tops out at 0.75
+    assert weighted_quantile(scores, weights, 1.0, 0.25) == 1.0
 
 
 def test_unweighted_order_statistic_rule():
     scores = np.arange(1.0, 100.0)  # 1..99
-    ss = ScoreSet(scores=scores)
-    assert weighted_quantile(ss, 0.95) == 95.0  # ceil(0.95 * 100) = 95
+    assert unweighted_quantile(scores, 0.95) == 95.0  # ceil(0.95 * 100) = 95
     assert unweighted_quantile(scores, 0.999) == math.inf  # index 100 > 99
-    assert weighted_quantile(ScoreSet(scores=np.empty(0)), 0.5) == math.inf
+    assert unweighted_quantile(np.empty(0), 0.5) == math.inf
+    # a level outside (0, 1) has no order statistic; 0 would index the maximum
+    for level in (0.0, -0.5, 1.0):
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            unweighted_quantile(np.arange(1.0, 11.0), level)
 
 
 def _enumeration_oracle(scores, weights, test_weight, level):
@@ -104,8 +107,8 @@ def test_weighted_quantile_matches_enumeration_oracle():
         weights = rng.random(n) * 3
         tw = float(rng.random() * 3)
         level = float(rng.uniform(0.05, 0.99))
-        ss = ScoreSet(scores=scores, weights=weights, test_weight=tw)
-        assert weighted_quantile(ss, level) == _enumeration_oracle(scores, weights, tw, level)
+        assert (weighted_quantile(scores, weights, tw, level)
+                == _enumeration_oracle(scores, weights, tw, level))
 
 
 def _brute_force_quantile(scores, weights, test_weight, level):
@@ -134,7 +137,7 @@ def test_weighted_quantiles_match_brute_force(pairs, test_weights, level):
     """Ties, zero weights, a zero test weight and levels near 0 and 1."""
     scores = np.array([s for s, _ in pairs])
     weights = np.array([w for _, w in pairs])
-    got = weighted_quantile(ScoreSet(scores, weights, np.array(test_weights)), level)
+    got = weighted_quantile(scores, weights, np.array(test_weights), level)
     want = [_brute_force_quantile(scores, weights, tw, level) for tw in test_weights]
     assert got.tolist() == want
 
@@ -148,9 +151,8 @@ def test_weighted_quantile_array_equals_scalar_calls(scores, seed, n_test, level
     rng = make_rng(seed)
     weights = rng.random(len(scores)) * rng.integers(0, 2, len(scores))
     test_weights = np.append(rng.exponential(size=n_test), 0.0)
-    got = weighted_quantile(ScoreSet(scores, weights, test_weights), level)
-    want = [weighted_quantile(ScoreSet(scores, weights, float(tw)), level)
-            for tw in test_weights]
+    got = weighted_quantile(scores, weights, test_weights, level)
+    want = [weighted_quantile(scores, weights, float(tw), level) for tw in test_weights]
     assert got.shape == test_weights.shape
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
@@ -159,10 +161,9 @@ def test_weighted_quantile_monotone_in_level():
     rng = make_rng(23)
     scores = rng.standard_normal(40)
     weights = rng.random(40)
-    ss = ScoreSet(scores=scores, weights=weights, test_weight=1.0)
     prev = -math.inf
     for level in np.linspace(0.05, 0.99, 40):
-        q = weighted_quantile(ss, float(level))
+        q = weighted_quantile(scores, weights, 1.0, float(level))
         assert q >= prev
         prev = q
 
@@ -190,7 +191,7 @@ def test_batch_cqr_eta_agrees_with_weighted_quantile():
     w_cal = weight_fn(cal_x)
     w_test = weight_fn(x_test)
     for i in range(10):
-        want = weighted_quantile(ScoreSet(scores, w_cal, float(w_test[i])), 1 - level)
+        want = weighted_quantile(scores, w_cal, float(w_test[i]), 1 - level)
         assert band.eta[i] == want
 
 
@@ -199,10 +200,32 @@ def test_weighted_quantile_raising_top_weight_never_decreases():
     scores = rng.standard_normal(25)
     weights = rng.random(25)
     top = int(np.argmax(scores))
-    base = weighted_quantile(ScoreSet(scores, weights, 1.0), 0.8)
+    base = weighted_quantile(scores, weights, 1.0, 0.8)
     weights2 = weights.copy()
     weights2[top] *= 10
-    assert weighted_quantile(ScoreSet(scores, weights2, 1.0), 0.8) >= base
+    assert weighted_quantile(scores, weights2, 1.0, 0.8) >= base
+
+
+_GOOD = {"scores": [0.5, -1.0, 2.0], "weights": [1.0, 0.0, 2.0], "test_weight": 1.0}
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("scores", [], "at least one score"),
+    ("weights", [1.0, 2.0], "weights must match scores in length"),
+    ("scores", [0.5, math.nan, 2.0], "scores must be finite"),
+    ("scores", [0.5, math.inf, 2.0], "scores must be finite"),
+    ("weights", [1.0, -0.5, 2.0], "weights must be finite and nonnegative"),
+    ("weights", [1.0, math.nan, 2.0], "weights must be finite and nonnegative"),
+    ("test_weight", [1.0, -0.5], "test_weight must be nonnegative"),
+    ("test_weight", math.nan, "test_weight must be nonnegative"),
+])
+def test_weighted_quantile_rejects_bad_input(field, bad, message):
+    args = {**_GOOD, field: bad}
+    if field == "scores":
+        args["weights"] = np.ones(len(bad))
+    assert math.isfinite(weighted_quantile(**_GOOD, level=0.5))
+    with pytest.raises(ValueError, match=message):
+        weighted_quantile(**args, level=0.5)
 
 
 # ---- weighted split CQR -----------------------------------------------------
@@ -263,15 +286,15 @@ def test_uninformative_interval_when_test_weight_dominates():
         # unit weights on calibration rows, huge weight at the test point
         return np.where(np.abs(z[:, 0]) > 90, 1e6, 1.0)
 
-    x_test = np.full((1, 2), 99.0)
+    x_test = np.array([[99.0, 99.0], [0.0, 0.0]])  # the second point has unit weight
     qp = fit_quantile_pair(x[:20], y[:20], 0.05, 0.95, "glm", 0)
     band = weighted_split_cqr_batch(qp, x[20:], y[20:], x_test, 0.1,
                                     weight_fn(x[20:]), weight_fn(x_test))
-    assert band.uninformative[0]
-    assert band.lo[0] == -math.inf and band.hi[0] == math.inf
-    capped = weighted_split_cqr_batch(qp, x[20:], y[20:], x_test, 0.1,
-                                      weight_fn(x[20:]), weight_fn(x_test), cap_at_max=True)
-    assert capped.uninformative[0] and math.isfinite(capped.lo[0])
+    assert band.uninformative.tolist() == [True, False]
+    # an unreachable quantile falls back to the largest calibration score
+    top = cqr_score(y[20:], *qp.predict(x[20:])).max()
+    assert np.all(band.eta[band.uninformative] == top)
+    assert np.isfinite(band.lo).all() and np.isfinite(band.hi).all()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
@@ -332,11 +355,13 @@ def test_interval_conformal_quantile_index_rule():
     lo = x[:, 0] - 1.0 + 0.1 * rng.standard_normal(n)
     hi = x[:, 0] + 1.0 + 0.1 * rng.standard_normal(n)
     band = _interval_conformal(x, lo, hi, x[:5], 0.05, split_seed=3)
-    assert math.isfinite(band.eta[0])
-    # reconstruct: eta must be one of the calibration scores at index 95
-    # (verified indirectly: 6% of scores sit above eta, within rounding)
-    h_lo = band.lo[:5] + band.eta[:5]
-    assert np.isfinite(h_lo).all()
+    # the helper's split and fits, scored independently
+    order = make_rng(3).permutation(n)
+    tr, ca = order[:n // 2], order[n // 2:]
+    h_lo, h_hi = fit_mean(x[tr], lo[tr], "glm", 0), fit_mean(x[tr], hi[tr], "glm", 0)
+    scores = np.maximum(h_lo.predict(x[ca]) - lo[ca], hi[ca] - h_hi.predict(x[ca]))
+    assert scores.size == 99
+    assert np.all(band.eta == np.sort(scores)[94])
 
 
 def test_interval_conformal_single_calibration_row_is_unbounded():
