@@ -164,7 +164,8 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args, parser)
         return cmd_report(args, parser)
-    except (DataValidationError, InsufficientDataError, FileNotFoundError) as exc:
+    except (DataValidationError, InsufficientDataError, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (RuntimeError, ValueError, OSError) as exc:

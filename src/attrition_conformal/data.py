@@ -157,10 +157,6 @@ def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> Split
     train1 = order[n_pr:n_pr + n_tr1]
     train2 = order[n_pr + n_tr1:n_pr + n_tr]
     calibration = order[n_pr + n_tr:]
-    for name, fold in (("pretrain", pretrain), ("train1", train1),
-                       ("train2", train2), ("calibration", calibration)):
-        if fold.size == 0:
-            raise InsufficientDataError(f"insufficient data for split plan (empty {name} fold)")
 
     cal_obs = calibration[r_flags[calibration] == 1]
     rng2 = make_rng(stream_seed(cfg.seed, "step2_folds"))

@@ -32,12 +32,17 @@ class ColumnMapping:
     def __post_init__(self):
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
         object.__setattr__(self, "na_tokens", tuple(self.na_tokens))
-        names = [self.outcome_col, self.treatment_col, self.response_col, *self.covariate_cols]
+        names = self.columns
         repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
         if repeated is not None:
             raise DataValidationError(f"the mapping names column {repeated!r} more than once")
         if not self.covariate_cols:
             raise DataValidationError("need at least one covariate column")
+
+    @property
+    def columns(self) -> tuple:
+        """The mapped column names: outcome, treatment, response, covariates."""
+        return (self.outcome_col, self.treatment_col, self.response_col, *self.covariate_cols)
 
     @classmethod
     def from_json(cls, path) -> "ColumnMapping":
@@ -98,12 +103,10 @@ def _data_rows(fh, mapping: ColumnMapping) -> csv.DictReader:
     reader = csv.DictReader(fh)
     if reader.fieldnames is None:
         raise DataValidationError("empty file, header row required")
-    mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
-              *mapping.covariate_cols)
-    missing = [c for c in mapped if c not in reader.fieldnames]
+    missing = [c for c in mapping.columns if c not in reader.fieldnames]
     if missing:
         raise DataValidationError(f"missing columns {missing}")
-    repeated = [c for c in mapped if reader.fieldnames.count(c) > 1]
+    repeated = [c for c in mapping.columns if reader.fieldnames.count(c) > 1]
     if repeated:
         # csv.DictReader would silently keep the last of the repeated fields
         raise DataValidationError(f"the header names column {repeated[0]!r} more than once")
@@ -126,8 +129,7 @@ def _parse_arrays(fh, header: list, mapping: ColumnMapping) -> tuple | None:
     col = header.index
     converters = {col(mapping.outcome_col):
                   lambda tok: math.nan if tok in na_tokens else float(tok)}
-    mapped = (mapping.outcome_col, mapping.treatment_col, mapping.response_col,
-              *mapping.covariate_cols)
+    mapped = mapping.columns
     # one field per header position, so that unmapped columns sharing a name are covered
     dtype = np.dtype([(str(j), "f8" if name in mapped else "U1") for j, name in enumerate(header)])
     try:
@@ -190,15 +192,13 @@ def load_csv(path, mapping: ColumnMapping) -> ExperimentDataset:
         raise DataValidationError(f"{path}: {exc}") from None
 
 
-def save_csv(ds: ExperimentDataset, path, mapping: ColumnMapping | None = None) -> ColumnMapping:
-    """Write the observed fields of a dataset, a missing outcome as NA; floats
-    round-trip exactly."""
-    if mapping is None:
-        mapping = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
-                                covariate_cols=tuple(f"x{j + 1}" for j in range(ds.k)))
+def save_csv(ds: ExperimentDataset, path) -> ColumnMapping:
+    """Write the observed fields of a dataset as columns ``x1..xk, d, r, y``, a
+    missing outcome as NA, and return their mapping; floats round-trip exactly."""
+    mapping = ColumnMapping(outcome_col="y", treatment_col="d", response_col="r",
+                            covariate_cols=tuple(f"x{j + 1}" for j in range(ds.k)))
     # tolist() gives Python floats; csv would write an np.float64 as "np.float64(...)"
-    write_csv(path, [*mapping.covariate_cols, mapping.treatment_col, mapping.response_col,
-                     mapping.outcome_col],
+    write_csv(path, [*mapping.covariate_cols, "d", "r", "y"],
               ([*x, d, r, "NA" if math.isnan(y) else y]
                for x, d, r, y in zip(ds.x.tolist(), ds.d.tolist(), ds.r.tolist(),
                                      ds.y.tolist())))
@@ -254,8 +254,8 @@ class RunManifest:
     command: list
     config: dict
     seed: int
-    library_version: str = LIBRARY_VERSION
-    rng: str = RNG_NOTE
+    library_version: str = field(default=LIBRARY_VERSION, init=False)
+    rng: str = field(default=RNG_NOTE, init=False)
     input_digest: str = ""
     digest: str = field(default="", init=False)
     started_at: str = field(default_factory=now_iso, init=False)

@@ -23,6 +23,8 @@ from .forest import FittedForest, fit_forest
 RIDGE = 1e-6             # ridge penalty of the linear fits
 SMOOTHING = 1e-4         # pinball smoothing width of the quantile IRLS
 MAX_ITER = 200           # quantile IRLS iterations
+LOGISTIC_MAX_ITER = 100  # logistic IRLS iterations
+LOGISTIC_TOL = 1e-10     # logistic IRLS step tolerance, relative to the largest coefficient
 PROPENSITY_CLIP = 0.01   # the clip of every fitted probability
 
 
@@ -158,8 +160,7 @@ def _unstandardise(beta: np.ndarray, mu: np.ndarray, sd: np.ndarray,
     return LinearMean(beta[0] - float(mu @ coef), coef, warning=warning)
 
 
-def _irls_logistic(x: np.ndarray, y: np.ndarray,
-                   max_iter: int = 100, tol: float = 1e-10) -> LinearMean:
+def _irls_logistic(x: np.ndarray, y: np.ndarray) -> LinearMean:
     """Ridge-penalized logistic regression by IRLS; intercept unpenalized.
     Returns the logit as a linear column."""
     design, mu, sd = _standardise(x)
@@ -167,7 +168,7 @@ def _irls_logistic(x: np.ndarray, y: np.ndarray,
     pen = np.full(design.shape[1], RIDGE)
     pen[0] = 0.0
     warning = "logistic IRLS reached max iterations"
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         eta = design @ beta
         p = _sigmoid(eta)
         w = np.maximum(p * (1.0 - p), 1e-10)
@@ -183,7 +184,7 @@ def _irls_logistic(x: np.ndarray, y: np.ndarray,
             break
         step = np.max(np.abs(new - beta))
         beta = new
-        if step < tol * (1.0 + np.max(np.abs(beta))):
+        if step < LOGISTIC_TOL * (1.0 + np.max(np.abs(beta))):
             warning = None
             break
     return _unstandardise(beta, mu, sd, warning)

@@ -23,6 +23,20 @@ def _fit(cfg: ConformalConfig, stream: str, fit, *data, seed_of=stream_seed):
     return fit(*data, cfg.learner, seed_of(cfg.seed, stream))
 
 
+def _threshold(cfg: ConformalConfig, stream: str, level: float, v_init: np.ndarray,
+               fit_x: np.ndarray, fit_v: np.ndarray, eval_x: np.ndarray, terms):
+    """The smallest root of ``terms(m_hat)``: ``m_hat`` is the localized
+    conditional CDF, fitted on the named stream from the ``level`` quantile
+    of ``v_init``'s finite scores, at ``eval_x`` and floored at ``level``.
+    The frozen surrogate sits at its target level by construction, so its
+    noise alone can push the moment's ceiling below zero and degenerate the
+    root to +inf; the floor (the constant of the double-robustness route)
+    removes that failure mode without moving the root's first-order location."""
+    m_model = _fit(cfg, stream, fit_conditional_cdf, fit_x, fit_v,
+                   initial_eta(v_init[np.isfinite(v_init)], level))
+    return solve_smallest_eta(terms(np.maximum(m_model.predict_proba(eval_x), level)))
+
+
 def _halves(cfg: ConformalConfig, stream: str, rows: np.ndarray) -> tuple:
     """``rows`` shuffled on the named stream, cut at half."""
     perm = rows[make_rng(stream_seed(cfg.seed, stream)).permutation(rows.size)]
@@ -125,16 +139,10 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
         v_tr2 = cqr_score(ds.y[tr2], *q.predict(ds.x[tr2]))
         v_cal = np.full(cal.size, np.nan)  # NaN off the arm's observed rows
         v_cal[own] = cqr_score(ds.y[cal[own]], *q.predict(ds.x[cal[own]]))
-        m_model = _fit(cfg, f"cdf_{arm}", fit_conditional_cdf, ds.x[tr2], v_tr2,
-                       initial_eta(v_tr1, 1.0 - cfg.alpha))
-        # The frozen CDF surrogate sits at its target level by construction,
-        # so its sampling noise alone can push the moment's ceiling below
-        # zero and degenerate the root to +inf; flooring at the target level
-        # (the constant of the double-robustness route) removes that failure
-        # mode without moving the root's first-order location.
-        m_hat = np.maximum(m_model.predict_proba(ds.x[cal]), 1.0 - cfg.alpha)
-        sol = eta_solutions[arm] = solve_smallest_eta(counterfactual_terms(
-            arm, ds.d[cal], ds.r[cal], v_cal, m_hat, e_r1, e_r0, pi_d, cfg.alpha))
+        sol = eta_solutions[arm] = _threshold(
+            cfg, f"cdf_{arm}", 1.0 - cfg.alpha, v_tr1, ds.x[tr2], v_tr2, ds.x[cal],
+            lambda m_hat: counterfactual_terms(arm, ds.d[cal], ds.r[cal], v_cal, m_hat,
+                                               e_r1, e_r0, pi_d, cfg.alpha))
         if sol.degenerate:
             flags.append(f"eta_alpha_{arm} is infinite; counterfactual intervals unbounded")
         # rows observed in the other arm get this arm's counterfactual interval
@@ -153,7 +161,8 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     Returns ``state`` with the step-2 part filled in."""
     flags = list(state.flags)
     att = np.flatnonzero(ds.r == 0)
-    lo, hi = state.c_ite_lo, state.c_ite_hi
+    lo, hi = np.full(ds.n, np.nan), np.full(ds.n, np.nan)  # step-1 ITE interval by row
+    lo[state.cal_obs_idx], hi[state.cal_obs_idx] = state.c_ite_lo, state.c_ite_hi
 
     finite = np.isfinite(lo) & np.isfinite(hi)
     if finite.sum() < 8:
@@ -166,30 +175,26 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     obstr, obsca = plan.step2_train, plan.step2_cal
     if obstr.size == 0 or obsca.size == 0:
         raise InsufficientDataError("empty step-2 fold")
-    pos_of = np.full(ds.n, -1, dtype=np.int64)  # row -> position in cal_obs_idx
-    pos_of[state.cal_obs_idx] = np.arange(state.cal_obs_idx.size)
-    tr_pos, ca_pos = pos_of[obstr], pos_of[obsca]
-    if (tr_pos < 0).any() or (ca_pos < 0).any():
+    if np.isnan(lo[obstr]).any() or np.isnan(lo[obsca]).any():  # NaN: not a step-1 row
         raise KeyError("step-2 rows must be step-1 calibration rows with r = 1")
 
     # Endpoint models can only learn from finite surrogate intervals; rows
     # with an unbounded step-1 interval keep a +inf score and stay in the
     # moment, where they honestly count as never covered.
-    def fit_endpoints(pos: np.ndarray, lo_stream: str, hi_stream: str) -> tuple:
-        pos = pos[finite[pos]]
-        x = ds.x[state.cal_obs_idx[pos]]
-        return (_fit(cfg, lo_stream, fit_mean, x, lo[pos]),
-                _fit(cfg, hi_stream, fit_mean, x, hi[pos]))
+    def fit_endpoints(rows: np.ndarray, lo_stream: str, hi_stream: str) -> tuple:
+        rows = rows[finite[rows]]
+        x = ds.x[rows]
+        return (_fit(cfg, lo_stream, fit_mean, x, lo[rows]),
+                _fit(cfg, hi_stream, fit_mean, x, hi[rows]))
 
-    def scores(endpoints: tuple, pos: np.ndarray) -> np.ndarray:
-        x = ds.x[state.cal_obs_idx[pos]]
-        return interval_score(lo[pos], hi[pos], endpoints[0].predict(x),
+    def scores(endpoints: tuple, rows: np.ndarray) -> np.ndarray:
+        x = ds.x[rows]
+        return interval_score(lo[rows], hi[rows], endpoints[0].predict(x),
                               endpoints[1].predict(x))
 
-    n_unbounded = int(obstr.size - finite[tr_pos].sum())
-    if n_unbounded:
+    if n_unbounded := int(obstr.size - finite[obstr].sum()):
         flags.append(f"{n_unbounded} unbounded surrogates excluded from endpoint fits")
-    h_lo, h_hi = fit_endpoints(tr_pos, "endpoint_lo", "endpoint_hi")
+    h_lo, h_hi = fit_endpoints(obstr, "endpoint_lo", "endpoint_hi")
 
     # P(R | X, D) needs both classes; the step-2 training fold has none with
     # r = 0, so the attrition rows join the fit.  Its odds carry this frame's
@@ -207,22 +212,17 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
     v_tr = np.full(obstr.size, np.nan)
     halves = _halves(cfg, "crossfit_halves", np.arange(obstr.size))
     for a, b in ((0, 1), (1, 0)):
-        v_tr[halves[b]] = scores(fit_endpoints(tr_pos[halves[a]], f"crossfit_lo_{a}",
-                                               f"crossfit_hi_{a}"), tr_pos[halves[b]])
-    eta_init_c = initial_eta(v_tr[np.isfinite(v_tr)], 1.0 - cfg.gamma)
-
-    m_c = _fit(cfg, "step2_cdf", fit_conditional_cdf,
-               _with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, eta_init_c)
+        v_tr[halves[b]] = scores(fit_endpoints(obstr[halves[a]], f"crossfit_lo_{a}",
+                                               f"crossfit_hi_{a}"), obstr[halves[b]])
 
     solve_rows = np.concatenate([obsca, att])
-    v_solve = np.full(solve_rows.size, np.nan)
-    v_solve[:obsca.size] = scores((h_lo, h_hi), ca_pos)
-    e_r = pi_model.predict_proba(_with_treatment(ds.x[solve_rows], ds.d[solve_rows]))
-    # same target-level floor as in step 1 (see the comment there)
-    m_hat = np.maximum(m_c.predict_proba(_with_treatment(ds.x[solve_rows], ds.d[solve_rows])),
-                       1.0 - cfg.gamma)
-    sol = solve_smallest_eta(extrapolation_terms(ds.r[solve_rows], v_solve, m_hat,
-                                                 e_r / (1.0 - e_r), cfg.gamma))
+    xd_solve = _with_treatment(ds.x[solve_rows], ds.d[solve_rows])
+    v_solve = np.concatenate([scores((h_lo, h_hi), obsca), np.full(att.size, np.nan)])
+    e_r = pi_model.predict_proba(xd_solve)
+    sol = _threshold(cfg, "step2_cdf", 1.0 - cfg.gamma, v_tr,
+                     _with_treatment(ds.x[obstr], ds.d[obstr]), v_tr, xd_solve,
+                     lambda m_hat: extrapolation_terms(ds.r[solve_rows], v_solve, m_hat,
+                                                       e_r / (1.0 - e_r), cfg.gamma))
     if sol.degenerate:
         flags.append("eta_gamma is infinite; attrition intervals unbounded")
 

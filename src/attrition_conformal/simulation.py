@@ -298,16 +298,20 @@ def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summari
     ``(rep, value, error)`` in rep order: ``value`` is ``summarize(rep, draw,
     result)`` (``draw`` is None for a fixed dataset); ``error`` is ``"Type: message"``
     for a replicate that failed on too little data or a numerical error.
-    Structural data errors and programming errors propagate.  More than 20%
-    failed replicates raise :class:`InsufficientDataError` when every failure
-    was one, else :class:`RuntimeError`.  ``workers > 1`` runs the
+    Structural data errors and programming errors propagate: ``reps`` or
+    ``workers`` below 1 and an unknown ``method`` raise ValueError before any
+    replicate runs.  More than 20% failed replicates raise :class:`InsufficientDataError`
+    when every failure was one, else :class:`RuntimeError`.  ``workers > 1`` runs the
     replicates in a process pool, so ``summarize`` must then be picklable;
     each worker receives ``source`` once.  Every replicate runs with numpy's
     OpenBLAS on one thread, in this process or in a worker, so that the bits
     do not depend on ``workers``; this process's thread count is restored.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    for name, value in (("reps", reps), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
     workers = min(workers, reps)  # a fork pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
@@ -347,8 +351,6 @@ def run_mc(dgp: DgpSpec, method: str, cfg: ConformalConfig, reps: int,
     Failed replicates are recorded with their error and excluded from the
     aggregates; more than 20% failures aborts the run.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
     start = time.time()
     records = [value if error is None else RepRecord(rep=rep, error=error)
                for rep, value, error in run_replicates(dgp, method, cfg, reps, _rep_record,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attrition_conformal import io
-from attrition_conformal.data import (ConformalConfig, DataValidationError,
+from attrition_conformal.data import (MIN_ROWS, ConformalConfig, DataValidationError,
                                       ExperimentDataset, InsufficientDataError,
                                       make_splits)
 from attrition_conformal.io import ColumnMapping, load_csv, save_csv
@@ -372,6 +372,18 @@ def test_split_determinism():
         assert np.array_equal(getattr(a, name), getattr(b, name))
     c = make_splits(64, r, ConformalConfig(seed=1235))
     assert not np.array_equal(a.pretrain, c.pretrain)
+
+
+def test_every_fold_is_nonempty_from_the_fewest_rows():
+    # the rounded fold fractions leave no fold empty at any n >= MIN_ROWS, so
+    # make_splits needs no empty-fold check; n = 8 gives folds of 2/2/2/2
+    for n in range(MIN_ROWS, 3001):
+        plan = make_splits(n, np.ones(n, dtype=int), ConformalConfig(seed=n))
+        assert min(plan.pretrain.size, plan.train1.size, plan.train2.size,
+                   plan.calibration.size) > 0, n
+    plan = make_splits(MIN_ROWS, np.ones(MIN_ROWS, dtype=int), ConformalConfig())
+    assert (plan.pretrain.size, plan.train1.size, plan.train2.size,
+            plan.calibration.size) == (2, 2, 2, 2)
 
 
 def test_split_too_small():

@@ -459,12 +459,26 @@ def test_analyze_nonfinite_outcome_is_data_error(tmp_path, capsys, bad):
     assert "[17]" in capsys.readouterr().err
 
 
-def test_exit_code_for_missing_data(tmp_path):
-    map_path = tmp_path / "map.json"
-    _write_mapping(map_path, ["x1"])
-    rc = main(["analyze", "--data", str(tmp_path / "nope.csv"), "--map", str(map_path),
-               "--method", "cise", "--out", str(tmp_path / "o")])
-    assert rc == 3  # missing input is a data problem, not a numerical one
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["--data", "--map", "--in"], ids=["data", "map", "report_in"])
+def test_exit_code_for_missing_data(tmp_path, capsys, flag, bad):
+    # an input that is not a readable file is a data problem, not a numerical one
+    data, map_path = tmp_path / "data.csv", tmp_path / "map.json"
+    mapping = save_csv(generate(DgpSpec(kind="dgp1", n=12, seed=1)).dataset, data)
+    _write_mapping(map_path, mapping.covariate_cols)
+    if bad == "missing":
+        path = tmp_path / "nope"
+    else:
+        path = tmp_path / "a_directory"
+        path.mkdir()
+    if flag == "--in":
+        argv = ["report", "--in", str(path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["analyze", "--data", str(data), "--map", str(map_path), "--method", "cise",
+                "--out", str(tmp_path / "o")]
+        argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_short_csv_row_is_data_error_naming_row_and_column(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from attrition_conformal import pipelines, rng
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
                                       ExperimentDataset, InsufficientDataError, make_splits)
+from attrition_conformal.eif import EtaSolution
 from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
                                            cise_step2, ipw_ate, run_cise,
                                            wcqr_nested_baseline)
@@ -388,6 +389,48 @@ def test_every_stream_is_read_once_through_the_two_helpers(monkeypatch):
     assert reads == [("treatment_propensity", rng.run_stream_seed),
                      ("response_propensity", rng.run_stream_seed)]
     assert len(propensity_fits) == 3 + 1 + 1 + 2
+
+
+def test_cise_finds_every_threshold_through_one_call_point(monkeypatch):
+    # both cise steps localize, floor and solve eta through _threshold, named
+    # by their CDF stream and target level; the baselines never do
+    ds, _ = _linear_draw(seed=61)
+    cfg = ConformalConfig(alpha=0.1, gamma=0.2, seed=3)
+    threshold, calls = pipelines._threshold, []
+
+    def record(cfg, stream, level, *args):
+        calls.append((stream, level))
+        return threshold(cfg, stream, level, *args)
+
+    monkeypatch.setattr(pipelines, "_threshold", record)
+    run_cise(ds, cfg)
+    assert calls == [("cdf_1", 1.0 - cfg.alpha), ("cdf_0", 1.0 - cfg.alpha),
+                     ("step2_cdf", 1.0 - cfg.gamma)]
+    calls.clear()
+    wcqr_nested_baseline(ds, cfg, exact=True)
+    wcqr_nested_baseline(ds, cfg, exact=False)
+    assert calls == []
+
+
+def test_step1_threshold_of_zero_keeps_the_quantile_pairs(monkeypatch):
+    # eta_alpha = 0 for both arms, reached by stream name: each row's
+    # counterfactual interval is then the other arm's fitted quantile pair
+    ds, _ = _linear_draw(seed=4)
+    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=7)
+    threshold = pipelines._threshold
+    zero = EtaSolution(0.0, math.nan, 0, False)
+
+    def zero_in_step1(cfg, stream, *args):
+        return zero if stream.startswith("cdf_") else threshold(cfg, stream, *args)
+
+    monkeypatch.setattr(pipelines, "_threshold", zero_in_step1)
+    state = cise_step1(ds, make_splits(ds.n, ds.r, cfg), cfg)
+    assert state.eta_solutions == {1: zero, 0: zero}
+    for arm in (0, 1):
+        other = ds.d[state.cal_obs_idx] != arm
+        lo, hi = state.q_models[arm].predict(ds.x[state.cal_obs_idx[other]])
+        assert np.array_equal(state.c_cf_lo[other], lo)
+        assert np.array_equal(state.c_cf_hi[other], hi)
 
 
 def test_attrition_intervals_never_cross():

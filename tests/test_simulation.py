@@ -149,6 +149,22 @@ def test_run_mc_rejects_unknown_method():
                ConformalConfig(), reps=1)
 
 
+@pytest.mark.parametrize("method, workers", [("bogus", 1), ("cise", 0), ("cise", -4)])
+def test_run_replicates_rejects_a_usage_error_before_any_replicate(monkeypatch, method,
+                                                                   workers):
+    # a usage error is raised, never counted as failed replicates
+    from attrition_conformal import simulation
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulation, "generate", no_draw)
+    with pytest.raises(ValueError, match="method must be|workers must be"):
+        simulation.run_replicates(DgpSpec(kind="dgp1", n=100, seed=0), method,
+                                  ConformalConfig(), reps=5, summarize=simulation._rep_record,
+                                  workers=workers)
+
+
 def test_run_mc_covers_on_every_generator():
     cfg = ConformalConfig(alpha=0.05, gamma=0.05, seed=3)
     for kind, rho in (("dgp2", 0.0), ("dgp2", 0.9), ("appendixE", 0.0)):
