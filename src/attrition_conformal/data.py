@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import make_rng, stream_seed
-
 
 class DataValidationError(ValueError):
     """Structural problem in input data (exit code 3 at the CLI)."""
@@ -78,11 +76,7 @@ GLM = "glm"
 RANDOM_FOREST = "random_forest"
 LEARNERS = (GLM, RANDOM_FOREST)
 
-# fold fractions of make_splits, and the fewest rows it splits
-PRETRAIN_FRAC = 0.20
-TRAIN_FRAC_OF_REST = 0.75
-STEP2_TRAIN_FRAC = 0.50
-MIN_ROWS = 8
+MIN_ROWS = 8  # the fewest rows pipelines.make_splits splits
 
 
 def check_learner(learner: str) -> None:
@@ -113,57 +107,14 @@ class ConformalConfig:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Disjoint row-index sets for the two conformal steps.
-
-    ``pretrain``/``train1``/``train2``/``calibration`` partition all rows;
-    ``step2_train``/``step2_cal`` partition the calibration rows with r = 1.
-    """
+    """Step 1's folds: ``pretrain``/``train1``/``train2``/``calibration``
+    partition all rows."""
 
     pretrain: np.ndarray
     train1: np.ndarray
     train2: np.ndarray
     calibration: np.ndarray
-    step2_train: np.ndarray
-    step2_cal: np.ndarray
 
     def __post_init__(self):
-        for name in ("pretrain", "train1", "train2", "calibration", "step2_train", "step2_cal"):
+        for name in ("pretrain", "train1", "train2", "calibration"):
             object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), dtype=np.int64)))
-
-
-def make_splits(n_rows: int, r_flags: np.ndarray, cfg: ConformalConfig) -> SplitPlan:
-    """Seeded uniform shuffle, then contiguous slices into the spec'd folds.
-
-    Fold sizes are rounded fractions: pretrain ``PRETRAIN_FRAC`` of all rows,
-    training ``TRAIN_FRAC_OF_REST`` of the remainder (halved into train1 and
-    train2), the rest calibration.  Step-2 folds split the calibration rows
-    with r = 1 at ``STEP2_TRAIN_FRAC``.  Deterministic given ``cfg.seed``.
-    """
-    if n_rows < MIN_ROWS:
-        raise InsufficientDataError("insufficient data for split plan "
-                                    f"(need at least {MIN_ROWS} rows)")
-    r_flags = np.asarray(r_flags, dtype=np.int64)
-    if r_flags.shape != (n_rows,):
-        raise ValueError("r_flags must have length n_rows")
-
-    rng = make_rng(stream_seed(cfg.seed, "folds"))
-    order = rng.permutation(n_rows)
-
-    n_pr = int(round(PRETRAIN_FRAC * n_rows))
-    rest = n_rows - n_pr
-    n_tr = int(round(TRAIN_FRAC_OF_REST * rest))
-    n_tr1 = n_tr // 2
-    pretrain = order[:n_pr]
-    train1 = order[n_pr:n_pr + n_tr1]
-    train2 = order[n_pr + n_tr1:n_pr + n_tr]
-    calibration = order[n_pr + n_tr:]
-
-    cal_obs = calibration[r_flags[calibration] == 1]
-    rng2 = make_rng(stream_seed(cfg.seed, "step2_folds"))
-    cal_obs = cal_obs[rng2.permutation(cal_obs.size)]
-    n_s2tr = int(round(STEP2_TRAIN_FRAC * cal_obs.size))
-    step2_train = cal_obs[:n_s2tr]
-    step2_cal = cal_obs[n_s2tr:]
-
-    return SplitPlan(pretrain=pretrain, train1=train1, train2=train2,
-                     calibration=calibration, step2_train=step2_train, step2_cal=step2_cal)

@@ -219,8 +219,6 @@ def _jsonify(obj):
         return f
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
     return obj
 
 

@@ -10,17 +10,27 @@ import numpy as np
 
 from .conformal import (cqr_score, expand_interval, interval_score,
                         unweighted_interval_conformal_batch, weighted_split_cqr_batch)
-from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
-                   InsufficientDataError, SplitPlan, make_splits)
+from .data import (MIN_ROWS, ConformalConfig, DataValidationError, ExperimentDataset,
+                   InsufficientDataError, SplitPlan)
 from .eif import counterfactual_terms, extrapolation_terms, initial_eta, solve_smallest_eta
 from .learners import (MeanModel, fit_conditional_cdf, fit_mean,
                        fit_propensity, fit_quantile, fit_quantile_pair, repair_crossing)
-from .rng import make_rng, run_stream_seed, stream_seed
+from .rng import make_rng, run_seed, stream_seed
+
+# fold fractions of make_splits and of step 2's two folds
+PRETRAIN_FRAC = 0.20
+TRAIN_FRAC_OF_REST = 0.75
+STEP2_TRAIN_FRAC = 0.50
 
 
-def _fit(cfg: ConformalConfig, stream: str, fit, *data, seed_of=stream_seed):
+def _fit(cfg: ConformalConfig, stream: str, fit, *data):
     """``fit`` on ``data`` with the run's learner, seeded by the named stream."""
-    return fit(*data, cfg.learner, seed_of(cfg.seed, stream))
+    return fit(*data, cfg.learner, stream_seed(cfg.seed, stream))
+
+
+def _shuffled(cfg: ConformalConfig, stream: str, rows: np.ndarray) -> np.ndarray:
+    """``rows`` permuted on the named stream."""
+    return rows[make_rng(stream_seed(cfg.seed, stream)).permutation(rows.size)]
 
 
 def _threshold(cfg: ConformalConfig, stream: str, level: float, v_init: np.ndarray,
@@ -39,8 +49,32 @@ def _threshold(cfg: ConformalConfig, stream: str, level: float, v_init: np.ndarr
 
 def _halves(cfg: ConformalConfig, stream: str, rows: np.ndarray) -> tuple:
     """``rows`` shuffled on the named stream, cut at half."""
-    perm = rows[make_rng(stream_seed(cfg.seed, stream)).permutation(rows.size)]
+    perm = _shuffled(cfg, stream, rows)
     return perm[:rows.size // 2], perm[rows.size // 2:]
+
+
+def make_splits(n_rows: int, cfg: ConformalConfig) -> SplitPlan:
+    """Step 1's folds: the rows shuffled on the ``folds`` stream, then cut
+    into contiguous slices.
+
+    Fold sizes are rounded fractions: pretrain ``PRETRAIN_FRAC`` of all rows,
+    training ``TRAIN_FRAC_OF_REST`` of the remainder (halved into train1 and
+    train2), the rest calibration.  Deterministic given ``cfg.seed``.
+    """
+    if n_rows < MIN_ROWS:
+        raise InsufficientDataError("insufficient data for split plan "
+                                    f"(need at least {MIN_ROWS} rows)")
+    order = _shuffled(cfg, "folds", np.arange(n_rows))
+
+    n_pr = int(round(PRETRAIN_FRAC * n_rows))
+    rest = n_rows - n_pr
+    n_tr = int(round(TRAIN_FRAC_OF_REST * rest))
+    n_tr1 = n_tr // 2
+    pretrain = order[:n_pr]
+    train1 = order[n_pr:n_pr + n_tr1]
+    train2 = order[n_pr + n_tr1:n_pr + n_tr]
+    calibration = order[n_pr + n_tr:]
+    return SplitPlan(pretrain=pretrain, train1=train1, train2=train2, calibration=calibration)
 
 
 def _with_treatment(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -155,9 +189,10 @@ def cise_step1(ds: ExperimentDataset, plan: SplitPlan, cfg: ConformalConfig) -> 
                       eta_solutions=eta_solutions, flags=flags)
 
 
-def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
-               cfg: ConformalConfig) -> CiseResult:
+def cise_step2(state: CiseResult, ds: ExperimentDataset, cfg: ConformalConfig) -> CiseResult:
     """Extrapolation step: expand the step-1 ITE intervals to attrited rows.
+    Step 1's observed calibration rows, shuffled on the ``step2_folds`` stream,
+    split at ``STEP2_TRAIN_FRAC`` into a training and a calibration fold.
     Returns ``state`` with the step-2 part filled in."""
     flags = list(state.flags)
     att = np.flatnonzero(ds.r == 0)
@@ -172,11 +207,10 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
         flags.append("no attrition rows; extrapolation skipped")
         return replace(state, att_idx=att, flags=flags)
 
-    obstr, obsca = plan.step2_train, plan.step2_cal
-    if obstr.size == 0 or obsca.size == 0:
-        raise InsufficientDataError("empty step-2 fold")
-    if np.isnan(lo[obstr]).any() or np.isnan(lo[obsca]).any():  # NaN: not a step-1 row
-        raise KeyError("step-2 rows must be step-1 calibration rows with r = 1")
+    # 8 finite step-1 intervals leave at least 4 rows in each fold
+    obs = _shuffled(cfg, "step2_folds", state.cal_obs_idx)
+    n_tr = int(round(STEP2_TRAIN_FRAC * obs.size))
+    obstr, obsca = obs[:n_tr], obs[n_tr:]
 
     # Endpoint models can only learn from finite surrogate intervals; rows
     # with an unbounded step-1 interval keep a +inf score and stay in the
@@ -198,9 +232,9 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
 
     # P(R | X, D) needs both classes; the step-2 training fold has none with
     # r = 0, so the attrition rows join the fit.  Its odds carry this frame's
-    # share of observed rows, and the solve frame below swaps step2_train for
-    # step2_cal: r / pi is right only while the two folds' counts differ by
-    # at most one row, as STEP2_TRAIN_FRAC = 0.5 makes them.
+    # share of observed rows, and the solve frame below swaps the training
+    # fold for the calibration fold: r / pi is right only while the two folds'
+    # counts differ by at most one row, as STEP2_TRAIN_FRAC = 0.5 makes them.
     pi_rows = np.concatenate([obstr, att])
     pi_model = _fit(cfg, "step2_response_propensity", fit_propensity,
                     _with_treatment(ds.x[pi_rows], ds.d[pi_rows]), ds.r[pi_rows])
@@ -235,9 +269,8 @@ def cise_step2(state: CiseResult, ds: ExperimentDataset, plan: SplitPlan,
 def run_cise(ds: ExperimentDataset, cfg: ConformalConfig) -> CiseResult:
     """Full two-step pipeline on one dataset."""
     _require_both_arms(ds)
-    plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg)
-    return cise_step2(state, ds, plan, cfg)
+    state = cise_step1(ds, make_splits(ds.n, cfg), cfg)
+    return cise_step2(state, ds, cfg)
 
 
 def wcqr_nested_baseline(ds: ExperimentDataset, cfg: ConformalConfig,
@@ -313,13 +346,13 @@ class AteEstimate:
 def ipw_ate(ds: ExperimentDataset, cfg: ConformalConfig) -> AteEstimate:
     """Hajek-style IPW ATE on the observed rows, weighting by the inverse of
     the treatment and response propensities, each fitted on its own stream
-    under the run seed."""
+    under :func:`~.rng.run_seed`."""
     _require_both_arms(ds)
     obs = np.flatnonzero(ds.r == 1)
-    e_d_model = _fit(cfg, "treatment_propensity", fit_propensity, ds.x, ds.d,
-                     seed_of=run_stream_seed)
-    e_r_model = _fit(cfg, "response_propensity", fit_propensity, _with_treatment(ds.x, ds.d),
-                     ds.r, seed_of=run_stream_seed)
+    run_cfg = replace(cfg, seed=run_seed(cfg.seed))
+    e_d_model = _fit(run_cfg, "treatment_propensity", fit_propensity, ds.x, ds.d)
+    e_r_model = _fit(run_cfg, "response_propensity", fit_propensity,
+                     _with_treatment(ds.x, ds.d), ds.r)
 
     x_obs = ds.x[obs]
     d_obs = ds.d[obs]

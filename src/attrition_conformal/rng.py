@@ -55,8 +55,8 @@ def stream_seed(seed: int, name: str) -> int:
     return child_seed(seed, STREAMS[name])
 
 
-def run_stream_seed(seed: int, name: str) -> int:
-    """Seed of the named :data:`STREAMS` entry for a fit made once per run, under
-    the run seed's index -1.  No replicate takes it, so (splitmix64 being a bijection)
-    no run-level stream equals the same-named stream of a replicate."""
-    return stream_seed(child_seed(seed, -1), name)
+def run_seed(seed: int) -> int:
+    """The seed under which a run names the :data:`STREAMS` of fits it makes once,
+    not per replicate: the run seed's index -1.  No replicate takes it, so (splitmix64
+    being a bijection) no run-level stream equals the same-named stream of a replicate."""
+    return child_seed(seed, -1)

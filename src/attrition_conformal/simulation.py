@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import betainc, expit, ndtr, ndtri
 
-from .data import (ConformalConfig, DataValidationError, ExperimentDataset,
-                   InsufficientDataError)
+from .data import ConformalConfig, ExperimentDataset, InsufficientDataError
 from .pipelines import (CiseResult, aggregate_ate, diff_in_means, mean_and_spread,
                         run_cise, wcqr_nested_baseline)
 from .rng import child_seed, make_rng
@@ -269,9 +268,7 @@ def _run_one_rep(source, method: str, cfg: ConformalConfig, summarize, rep: int)
         result = run_method(source if draw is None else draw.dataset, method,
                             replace(cfg, seed=child_seed(cfg.seed, rep)))
         return rep, summarize(rep, draw, result), None, False
-    except DataValidationError:
-        raise
-    except (RuntimeError, ValueError) as exc:  # InsufficientDataError and numerical failures
+    except (InsufficientDataError, np.linalg.LinAlgError) as exc:  # LinAlgError: numerical failure
         return (rep, None, f"{type(exc).__name__}: {exc}",
                 isinstance(exc, InsufficientDataError))
 
@@ -297,8 +294,8 @@ def run_replicates(source, method: str, cfg: ConformalConfig, reps: int, summari
     one :class:`ExperimentDataset` that every replicate reuses.  Returns
     ``(rep, value, error)`` in rep order: ``value`` is ``summarize(rep, draw,
     result)`` (``draw`` is None for a fixed dataset); ``error`` is ``"Type: message"``
-    for a replicate that failed on too little data or a numerical error.
-    Structural data errors and programming errors propagate: ``reps`` or
+    for a replicate that failed on too little data or a numerical error (numpy's
+    ``LinAlgError``).  Structural data errors and programming errors propagate: ``reps`` or
     ``workers`` below 1 and an unknown ``method`` raise ValueError before any
     replicate runs.  More than 20% failed replicates raise :class:`InsufficientDataError`
     when every failure was one, else :class:`RuntimeError`.  ``workers > 1`` runs the

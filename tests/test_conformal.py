@@ -32,6 +32,8 @@ def test_interval_score_values():
     assert interval_score(-1.0, 1.0, -2.0, 2.0) == -1.0  # nested
     assert interval_score(-3.0, 1.0, -2.0, 2.0) == 1.0   # left excess
     assert interval_score(-2.0, 2.0, -2.0, 2.0) == 0.0
+    with pytest.raises(ValueError, match="interval endpoints out of order"):
+        interval_score(1.0, -1.0, -2.0, 2.0)
 
 
 def test_score_interval_duality():
@@ -206,7 +208,8 @@ def test_weighted_quantile_raising_top_weight_never_decreases():
     assert weighted_quantile(scores, weights2, 1.0, 0.8) >= base
 
 
-_GOOD = {"scores": [0.5, -1.0, 2.0], "weights": [1.0, 0.0, 2.0], "test_weight": 1.0}
+_GOOD = {"scores": [0.5, -1.0, 2.0], "weights": [1.0, 0.0, 2.0], "test_weight": 1.0,
+         "level": 0.5}
 
 
 @pytest.mark.parametrize("field, bad, message", [
@@ -218,14 +221,16 @@ _GOOD = {"scores": [0.5, -1.0, 2.0], "weights": [1.0, 0.0, 2.0], "test_weight": 
     ("weights", [1.0, math.nan, 2.0], "weights must be finite and nonnegative"),
     ("test_weight", [1.0, -0.5], "test_weight must be nonnegative"),
     ("test_weight", math.nan, "test_weight must be nonnegative"),
+    ("level", 0.0, r"level must lie in \(0, 1\)"),
+    ("level", 1.0, r"level must lie in \(0, 1\)"),
 ])
 def test_weighted_quantile_rejects_bad_input(field, bad, message):
     args = {**_GOOD, field: bad}
     if field == "scores":
         args["weights"] = np.ones(len(bad))
-    assert math.isfinite(weighted_quantile(**_GOOD, level=0.5))
+    assert math.isfinite(weighted_quantile(**_GOOD))
     with pytest.raises(ValueError, match=message):
-        weighted_quantile(**args, level=0.5)
+        weighted_quantile(**args)
 
 
 # ---- weighted split CQR -----------------------------------------------------

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from attrition_conformal import io
 from attrition_conformal.data import (MIN_ROWS, ConformalConfig, DataValidationError,
-                                      ExperimentDataset, InsufficientDataError,
-                                      make_splits)
+                                      ExperimentDataset, InsufficientDataError)
 from attrition_conformal.io import ColumnMapping, load_csv, save_csv
-from attrition_conformal.pipelines import (diff_in_means, ipw_ate, run_cise,
+from attrition_conformal.pipelines import (diff_in_means, ipw_ate, make_splits, run_cise,
                                            wcqr_nested_baseline)
 from attrition_conformal.simulation import DgpSpec, generate
 
@@ -329,8 +328,7 @@ def test_config_validation():
 
 def test_split_sizes_at_default_fractions():
     # n=1000: pretrain 200, train 600 split 300/300, calibration 200
-    r = np.ones(1000, dtype=int)
-    plan = make_splits(1000, r, ConformalConfig(seed=3))
+    plan = make_splits(1000, ConformalConfig(seed=3))
     assert plan.pretrain.size == 200
     assert plan.train1.size + plan.train2.size == 600
     assert abs(plan.train1.size - plan.train2.size) <= 1
@@ -338,39 +336,28 @@ def test_split_sizes_at_default_fractions():
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(8, 3000), pattern_seed=st.integers(0, 2**32 - 1),
-       response_rate=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
-def test_split_partition_property(n, pattern_seed, response_rate, seed):
-    r = (np.random.default_rng(pattern_seed).random(n) < response_rate).astype(int)
-    plan = make_splits(n, r, ConformalConfig(seed=seed))
+@given(n=st.integers(8, 3000), seed=st.integers(0, 2**64 - 1))
+def test_split_partition_property(n, seed):
+    plan = make_splits(n, ConformalConfig(seed=seed))
     folds = (plan.pretrain, plan.train1, plan.train2, plan.calibration)
     assert all(fold.size > 0 for fold in folds)
     assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
-    # step-2 folds partition the calibration rows with r = 1
-    cal_obs = plan.calibration[r[plan.calibration] == 1]
-    merged2 = np.concatenate([plan.step2_train, plan.step2_cal])
-    assert np.array_equal(np.sort(merged2), np.sort(cal_obs))
-    # cise_step2's response weights r / pi hold only while the two step-2
-    # folds' counts differ by at most one row
-    assert abs(plan.step2_train.size - plan.step2_cal.size) <= 1
 
 
 def test_split_fraction_rounding_within_one_row():
     for n in (101, 350, 999):
-        r = np.ones(n, dtype=int)
-        plan = make_splits(n, r, ConformalConfig(seed=1))
+        plan = make_splits(n, ConformalConfig(seed=1))
         assert abs(plan.pretrain.size - round(0.2 * n)) <= 1
         rest = n - plan.pretrain.size
         assert abs(plan.train1.size + plan.train2.size - round(0.75 * rest)) <= 1
 
 
 def test_split_determinism():
-    r = np.ones(64, dtype=int)
-    a = make_splits(64, r, ConformalConfig(seed=1234))
-    b = make_splits(64, r, ConformalConfig(seed=1234))
-    for name in ("pretrain", "train1", "train2", "calibration", "step2_train", "step2_cal"):
+    a = make_splits(64, ConformalConfig(seed=1234))
+    b = make_splits(64, ConformalConfig(seed=1234))
+    for name in ("pretrain", "train1", "train2", "calibration"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    c = make_splits(64, r, ConformalConfig(seed=1235))
+    c = make_splits(64, ConformalConfig(seed=1235))
     assert not np.array_equal(a.pretrain, c.pretrain)
 
 
@@ -378,14 +365,14 @@ def test_every_fold_is_nonempty_from_the_fewest_rows():
     # the rounded fold fractions leave no fold empty at any n >= MIN_ROWS, so
     # make_splits needs no empty-fold check; n = 8 gives folds of 2/2/2/2
     for n in range(MIN_ROWS, 3001):
-        plan = make_splits(n, np.ones(n, dtype=int), ConformalConfig(seed=n))
+        plan = make_splits(n, ConformalConfig(seed=n))
         assert min(plan.pretrain.size, plan.train1.size, plan.train2.size,
                    plan.calibration.size) > 0, n
-    plan = make_splits(MIN_ROWS, np.ones(MIN_ROWS, dtype=int), ConformalConfig())
+    plan = make_splits(MIN_ROWS, ConformalConfig())
     assert (plan.pretrain.size, plan.train1.size, plan.train2.size,
             plan.calibration.size) == (2, 2, 2, 2)
 
 
 def test_split_too_small():
     with pytest.raises(InsufficientDataError):
-        make_splits(7, np.ones(7, dtype=int), ConformalConfig())
+        make_splits(7, ConformalConfig())

@@ -393,7 +393,7 @@ def test_replicate_failures_with_a_numerical_error_exit_4(tmp_path, monkeypatch)
 
     def short_then_singular(ds, method, cfg):
         if cfg.seed == child_seed(0, 0):
-            raise ValueError("singular system")
+            raise np.linalg.LinAlgError("singular system")
         raise InsufficientDataError("few rows")
 
     monkeypatch.setattr(simulation, "run_method", short_then_singular)

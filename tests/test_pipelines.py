@@ -7,10 +7,10 @@ import pytest
 
 from attrition_conformal import pipelines, rng
 from attrition_conformal.data import (ConformalConfig, DataValidationError,
-                                      ExperimentDataset, InsufficientDataError, make_splits)
+                                      ExperimentDataset, InsufficientDataError)
 from attrition_conformal.eif import EtaSolution
 from attrition_conformal.pipelines import (CiseResult, aggregate_ate, cise_step1,
-                                           cise_step2, ipw_ate, run_cise,
+                                           cise_step2, ipw_ate, make_splits, run_cise,
                                            wcqr_nested_baseline)
 from attrition_conformal.rng import child_seed, make_rng
 from attrition_conformal.simulation import DgpSpec, compute_metrics, generate
@@ -32,7 +32,7 @@ def _linear_draw(n=600, attrition=True, noise=1.0, seed=0):
 
 
 @pytest.mark.parametrize("pipeline", [
-    lambda ds, cfg: cise_step1(ds, make_splits(ds.n, ds.r, cfg), cfg),
+    lambda ds, cfg: cise_step1(ds, make_splits(ds.n, cfg), cfg),
     lambda ds, cfg: wcqr_nested_baseline(ds, cfg, exact=True),
     lambda ds, cfg: wcqr_nested_baseline(ds, cfg, exact=False),
 ], ids=["cise_step1", "wcqr_nested_exact", "wcqr_nested_inexact"])
@@ -57,7 +57,7 @@ def test_factual_coverage_duality():
     # verified through the emitted counterfactual intervals' construction
     ds, _ = _linear_draw(seed=4)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=7)
-    plan = make_splits(ds.n, ds.r, cfg)
+    plan = make_splits(ds.n, cfg)
     state = cise_step1(ds, plan, cfg)
     for arm in (0, 1):
         eta = state.eta_solutions[arm].eta
@@ -85,7 +85,7 @@ def test_noiseless_dgp_ite_intervals_contain_zero():
     r = (rng.random(n) < 0.8).astype(int)
     ds = ExperimentDataset(x=x, d=d, r=r, y=np.where(r == 1, y1, np.nan))
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
-    plan = make_splits(ds.n, ds.r, cfg)
+    plan = make_splits(ds.n, cfg)
     state = cise_step1(ds, plan, cfg)
     finite = np.isfinite(state.c_ite_lo)
     # the noiseless construction collapses intervals to float-dust width, so
@@ -106,23 +106,36 @@ def test_cise_step2_zero_attrition():
     assert res.c_ite_lo.size > 0
 
 
-def test_cise_step2_rejects_rows_outside_step1():
-    # a plan whose step-2 rows are not step 1's observed calibration rows is
-    # a programming error, not a failed replicate
-    ds, _ = _linear_draw()
-    cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=2)
-    plan = make_splits(ds.n, ds.r, cfg)
-    state = cise_step1(ds, plan, cfg)
-    foreign = replace(plan, step2_cal=np.concatenate([plan.step2_cal, plan.pretrain[:1]]))
-    with pytest.raises(KeyError, match="step-2 rows"):
-        cise_step2(state, ds, foreign, cfg)
+@pytest.mark.parametrize("n, seed", [(600, 0), (601, 1), (350, 2), (351, 3)])
+def test_step2_folds_partition_the_step1_rows(monkeypatch, n, seed):
+    # step 2 fits its localized CDF on the training fold and solves on the
+    # calibration fold plus the attrition rows; the two folds partition step
+    # 1's observed calibration rows, and step 2's response weights r / pi
+    # hold only while their counts differ by at most one row
+    ds, _ = _linear_draw(n=n, seed=seed)
+    row_of = {x.tobytes(): i for i, x in enumerate(ds.x)}
+    threshold, frames = pipelines._threshold, {}
+
+    def record(cfg, stream, level, v_init, fit_x, fit_v, eval_x, terms):
+        if stream == "step2_cdf":
+            frames["fit"], frames["eval"] = fit_x[:, :-1], eval_x[:, :-1]
+        return threshold(cfg, stream, level, v_init, fit_x, fit_v, eval_x, terms)
+
+    monkeypatch.setattr(pipelines, "_threshold", record)
+    res = run_cise(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=seed))
+    train = np.array([row_of[x.tobytes()] for x in frames["fit"]])
+    solve = np.array([row_of[x.tobytes()] for x in frames["eval"]])
+    assert np.array_equal(solve[-res.att_idx.size:], res.att_idx)
+    cal = solve[:-res.att_idx.size]
+    assert np.array_equal(np.sort(np.concatenate([train, cal])), np.sort(res.cal_obs_idx))
+    assert abs(train.size - cal.size) <= 1
 
 
 def test_run_cise_keeps_the_step1_part_bitwise():
     # the full run returns the same step-1 fields that step 1 alone returns
     ds, _ = _linear_draw(seed=9)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
-    step1 = cise_step1(ds, make_splits(ds.n, ds.r, cfg), cfg)
+    step1 = cise_step1(ds, make_splits(ds.n, cfg), cfg)
     res = run_cise(ds, cfg)
     for name in ("cal_obs_idx", "c_cf_lo", "c_cf_hi", "c_ite_lo", "c_ite_hi"):
         assert np.array_equal(getattr(res, name), getattr(step1, name)), name
@@ -161,13 +174,13 @@ def test_cise_step2_constant_surrogates_hand_fixture():
     y = np.where(r == 1, rng.standard_normal(n), np.nan)
     ds = ExperimentDataset(x=x, d=d, r=r, y=y)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=5)
-    plan = make_splits(ds.n, ds.r, cfg)
+    plan = make_splits(ds.n, cfg)
     obs = plan.calibration[ds.r[plan.calibration] == 1]
     a, b = -1.5, 2.5
     state = CiseResult(cal_obs_idx=obs,
                        c_cf_lo=np.full(obs.size, a), c_cf_hi=np.full(obs.size, b),
                        c_ite_lo=np.full(obs.size, a), c_ite_hi=np.full(obs.size, b))
-    res = cise_step2(state, ds, plan, cfg)
+    res = cise_step2(state, ds, cfg)
     assert res.eta_gamma >= 0.0
     assert res.eta_gamma == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(res.che_lo, a, atol=1e-8)
@@ -346,27 +359,27 @@ def test_ipw_fits_its_propensities_on_their_own_streams():
 
 
 def test_every_stream_is_read_once_through_the_two_helpers(monkeypatch):
-    # _fit derives every fit seed and _halves every shuffle; with make_splits'
-    # two fold streams the pipelines read each named stream, none twice in a run
+    # _fit derives every fit seed and _shuffled every fold draw; the pipelines
+    # read each named stream, none twice in a run
     ds, _ = _linear_draw(seed=61)
     cfg = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
-    fit, halves, fit_propensity = pipelines._fit, pipelines._halves, pipelines.fit_propensity
+    fit, shuffled, fit_propensity = pipelines._fit, pipelines._shuffled, pipelines.fit_propensity
     reads, propensity_fits = [], []
 
-    def record_fit(cfg, stream, fit_fn, *data, seed_of=rng.stream_seed):
-        reads.append((stream, seed_of))
-        return fit(cfg, stream, fit_fn, *data, seed_of=seed_of)
+    def record_fit(cfg, stream, *args):
+        reads.append((stream, cfg.seed))
+        return fit(cfg, stream, *args)
 
-    def record_halves(cfg, stream, rows):
-        reads.append((stream, rng.stream_seed))
-        return halves(cfg, stream, rows)
+    def record_shuffled(cfg, stream, rows):
+        reads.append((stream, cfg.seed))
+        return shuffled(cfg, stream, rows)
 
     def counting_fit_propensity(*args):
         propensity_fits.append(args[-1])
         return fit_propensity(*args)
 
     monkeypatch.setattr(pipelines, "_fit", record_fit)
-    monkeypatch.setattr(pipelines, "_halves", record_halves)
+    monkeypatch.setattr(pipelines, "_shuffled", record_shuffled)
     # the tracer rebinds fits by module attribute, so call sites look them up at call time
     monkeypatch.setattr(pipelines, "fit_propensity", counting_fit_propensity)
 
@@ -375,19 +388,19 @@ def test_every_stream_is_read_once_through_the_two_helpers(monkeypatch):
         run()
         names = [name for name, _ in reads]
         assert len(names) == len(set(names))
-        assert all(seed_of is rng.stream_seed for _, seed_of in reads)
+        assert all(seed == cfg.seed for _, seed in reads)
         return set(names)
 
     cise = streams(lambda: run_cise(ds, cfg))
     exact = streams(lambda: wcqr_nested_baseline(ds, cfg, exact=True))
     inexact = streams(lambda: wcqr_nested_baseline(ds, cfg, exact=False))
-    assert (len(cise), len(exact), len(inexact)) == (15, 9, 8)
-    assert cise | exact | inexact | {"folds", "step2_folds"} == set(rng.STREAMS)
+    assert (len(cise), len(exact), len(inexact)) == (17, 9, 8)
+    assert cise | exact | inexact == set(rng.STREAMS)
 
     reads.clear()
     ipw_ate(ds, cfg)
-    assert reads == [("treatment_propensity", rng.run_stream_seed),
-                     ("response_propensity", rng.run_stream_seed)]
+    assert reads == [("treatment_propensity", rng.run_seed(cfg.seed)),
+                     ("response_propensity", rng.run_seed(cfg.seed))]
     assert len(propensity_fits) == 3 + 1 + 1 + 2
 
 
@@ -424,13 +437,81 @@ def test_step1_threshold_of_zero_keeps_the_quantile_pairs(monkeypatch):
         return zero if stream.startswith("cdf_") else threshold(cfg, stream, *args)
 
     monkeypatch.setattr(pipelines, "_threshold", zero_in_step1)
-    state = cise_step1(ds, make_splits(ds.n, ds.r, cfg), cfg)
+    state = cise_step1(ds, make_splits(ds.n, cfg), cfg)
     assert state.eta_solutions == {1: zero, 0: zero}
     for arm in (0, 1):
         other = ds.d[state.cal_obs_idx] != arm
         lo, hi = state.q_models[arm].predict(ds.x[state.cal_obs_idx[other]])
         assert np.array_equal(state.c_cf_lo[other], lo)
         assert np.array_equal(state.c_cf_hi[other], hi)
+
+
+def _unbounded_at(monkeypatch, streams) -> dict:
+    """Make the _threshold calls of the named streams return an infinite eta.
+    The returned dict maps every stream solved to its evaluation covariates."""
+    threshold, eval_xs = pipelines._threshold, {}
+    unbounded = EtaSolution(math.inf, math.nan, 0, True)
+
+    def solve(cfg, stream, level, v_init, fit_x, fit_v, eval_x, terms):
+        eval_xs[stream] = eval_x
+        if stream in streams:
+            return unbounded
+        return threshold(cfg, stream, level, v_init, fit_x, fit_v, eval_x, terms)
+
+    monkeypatch.setattr(pipelines, "_threshold", solve)
+    return eval_xs
+
+
+_DGP1 = DgpSpec(kind="dgp1", n=1000, seed=3)
+_CFG = ConformalConfig(alpha=0.1, gamma=0.1, seed=3)
+
+
+def test_an_unbounded_step1_arm_reaches_step2_as_never_covered(monkeypatch):
+    # an infinite eta_alpha_0 leaves every row observed in arm 1 with an
+    # unbounded ITE interval: the endpoint fits drop those rows, and step 2's
+    # moment scores them +inf, which on this draw leaves eta_gamma infinite too
+    ds = generate(_DGP1).dataset
+    eval_xs = _unbounded_at(monkeypatch, {"cdf_0"})
+    terms, moments = pipelines.extrapolation_terms, []
+
+    def record(r, v, *args):
+        moments.append((r, v))
+        return terms(r, v, *args)
+
+    monkeypatch.setattr(pipelines, "extrapolation_terms", record)
+    res = run_cise(ds, _CFG)
+    assert res.flags[0] == "eta_alpha_0 is infinite; counterfactual intervals unbounded"
+    assert res.flags[1].endswith(" unbounded surrogates excluded from endpoint fits")
+    assert res.flags[2:] == ["eta_gamma is infinite; attrition intervals unbounded"]
+    (r, v), = moments
+    d = eval_xs["step2_cdf"][:, -1]  # the solve frame's treatment column
+    assert np.isposinf(v[(r == 1) & (d == 1)]).all()
+    assert np.isfinite(v[(r == 1) & (d == 0)]).all()
+
+
+def test_an_unbounded_step2_threshold_leaves_attrition_intervals_unbounded(monkeypatch):
+    ds = generate(_DGP1).dataset
+    _unbounded_at(monkeypatch, {"step2_cdf"})
+    res = run_cise(ds, _CFG)
+    assert res.flags == ["eta_gamma is infinite; attrition intervals unbounded"]
+    assert res.eta_gamma == math.inf
+    assert np.isneginf(res.che_lo).all() and np.isposinf(res.che_hi).all()
+
+
+def test_step2_needs_eight_finite_step1_intervals(monkeypatch):
+    ds = generate(_DGP1).dataset
+    _unbounded_at(monkeypatch, {"cdf_0", "cdf_1"})
+    with pytest.raises(InsufficientDataError, match="fewer than 8 finite ITE intervals"):
+        run_cise(ds, _CFG)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_baseline_without_attrition_rows_skips_extrapolation(exact):
+    ds, _ = _linear_draw(attrition=False, seed=17)
+    res = wcqr_nested_baseline(ds, ConformalConfig(alpha=0.1, gamma=0.1, seed=19), exact=exact)
+    assert res.att_idx.size == 0 and res.che_lo.size == 0 and math.isnan(res.eta_gamma)
+    assert res.flags[-1] == "no attrition rows; extrapolation skipped"
+    assert np.isfinite(res.c_ite_lo).any()
 
 
 def test_attrition_intervals_never_cross():

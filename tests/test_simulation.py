@@ -1,6 +1,7 @@
 import math
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import expit, ndtri
 
 from attrition_conformal import simulation
 from attrition_conformal.data import ConformalConfig, ExperimentDataset, InsufficientDataError
+from attrition_conformal.pipelines import run_cise
 from attrition_conformal.rng import child_seed
 from attrition_conformal.simulation import (DgpSpec, appendix_e_e_r, compute_metrics,
                                             dgp1_e_d, dgp1_f, dgp2_e_d, dgp2_e_r,
@@ -214,6 +216,31 @@ def test_run_mc_programming_error_escapes(monkeypatch):
         run_mc(DgpSpec(kind="dgp1", n=200, seed=0), "cise", ConformalConfig(), reps=5)
 
 
+def test_run_mc_value_error_escapes(monkeypatch):
+    # a ValueError other than numpy's LinAlgError is a bug, even in one replicate of six
+    run_method = simulation.run_method
+
+    def broken_rep_two(ds, method, cfg):
+        if cfg.seed == child_seed(9, 2):
+            raise ValueError("operands could not be broadcast together")
+        return run_method(ds, method, cfg)
+
+    monkeypatch.setattr(simulation, "run_method", broken_rep_two)
+    with pytest.raises(ValueError, match="operands could not be broadcast"):
+        run_mc(DgpSpec(kind="dgp1", n=500, seed=9), "cise",
+               ConformalConfig(alpha=0.1, gamma=0.1, seed=9), reps=6)
+
+
+def test_rep_record_rejects_a_draw_without_attrition():
+    draw = generate(DgpSpec(kind="dgp1", n=300, seed=5))
+    ds = draw.dataset
+    full = ExperimentDataset(x=ds.x, d=ds.d, r=np.ones(ds.n, dtype=int),
+                             y=np.where(ds.d == 1, draw.y1, draw.y0))
+    result = run_cise(full, ConformalConfig(alpha=0.1, gamma=0.1, seed=5))
+    with pytest.raises(InsufficientDataError, match="no attrition rows in draw"):
+        simulation._rep_record(0, replace(draw, dataset=full), result)
+
+
 def test_run_replicates_error_taxonomy(monkeypatch):
     from attrition_conformal import simulation
     from attrition_conformal.data import DataValidationError, InsufficientDataError
@@ -247,7 +274,7 @@ def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
 
     def fail_rep_two(ds, method, cfg):
         if cfg.seed == child_seed(9, 2):
-            raise RuntimeError("singular system")
+            raise np.linalg.LinAlgError("singular system")
         result = run_method(ds, method, cfg)
         if cfg.seed == child_seed(9, 1):
             inf = np.full(result.che_lo.shape, np.inf)
@@ -258,7 +285,7 @@ def test_run_mc_records_failed_replicate_within_budget(monkeypatch):
     report = run_mc(DgpSpec(kind="dgp1", n=500, seed=9), "cise",
                     ConformalConfig(alpha=0.1, gamma=0.1, seed=9), reps=5)
     assert report.n_failed == 1
-    assert report.reps[2].error == "RuntimeError: singular system"
+    assert report.reps[2].error == "LinAlgError: singular system"
     assert report.reps[2].coverage is None
     assert all(r.error is None for i, r in enumerate(report.reps) if i != 2)
     assert report.reps[1].ate_attrition is None
